@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import MASK_PRNG, load_dataset, make_mask, read_matrix, save_dataset, synth_blobs
+from .dataio import MASK_PRNG, load_dataset, make_mask, read_labels, save_dataset, synth_blobs
 from .errors import ConfigError, DataError, DivergenceError, IcmvcError
 from .metrics import evaluate
 from .network import save_checkpoint
@@ -392,8 +392,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = read_matrix(Path(args.pred))[:, 0].astype(np.int64)
-    truth = read_matrix(Path(args.truth))[:, 0].astype(np.int64)
+    pred = read_labels(Path(args.pred))
+    truth = read_labels(Path(args.truth))
     if pred.shape[0] != truth.shape[0]:
         raise DataError(f"label lengths differ: {pred.shape[0]} vs {truth.shape[0]}")
     report = evaluate(pred, truth)

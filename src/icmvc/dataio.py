@@ -64,13 +64,15 @@ def write_matrix(path: Path, matrix: np.ndarray, integer: bool = False):
 
 
 def read_matrix(path: Path) -> np.ndarray:
-    rows = []
+    """Parse a headerless CSV of decimals; every cell must be finite."""
+    rows, linenos = [], []
     width = None
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
+            linenos.append(lineno)
             cells = line.split(",")
             if width is None:
                 width = len(cells)
@@ -85,7 +87,34 @@ def read_matrix(path: Path) -> np.ndarray:
             rows.append(parsed)
     if not rows:
         raise FormatError(f"{path.name}: empty file")
-    return np.array(rows, dtype=np.float64)
+    matrix = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ParseError(
+            f"{path.name}: line {linenos[row]}, column {col + 1}: {matrix[row, col]!r} is not finite"
+        )
+    return matrix
+
+
+def read_labels(path: Path) -> np.ndarray:
+    """One nonnegative integer label per line, as int64."""
+    raw = read_matrix(path)
+    if raw.shape[1] != 1:
+        raise FormatError(f"{path.name}: expected one label per line")
+    values = raw[:, 0]
+    bad = (values < 0) | (values != np.floor(values))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FormatError(f"{path.name}: label {values[i]!r} (entry {i + 1}) is not a nonnegative integer")
+    return values.astype(np.int64)
+
+
+def _view_index(path: Path) -> int:
+    suffix = path.stem[len("view"):]
+    if not suffix.isdecimal() or int(suffix) < 1:
+        raise FormatError(f"{path.name}: view files must be named view<k>.csv with k a positive integer")
+    return int(suffix)
 
 
 def minmax_scale(x: np.ndarray) -> np.ndarray:
@@ -122,7 +151,7 @@ def load_dataset(path, minmax: bool = False):
     scaling, so placeholder zeros never leak into feature ranges).
     """
     path = Path(path)
-    view_paths = sorted(path.glob("view*.csv"), key=lambda p: int(p.stem[4:]))
+    view_paths = sorted(path.glob("view*.csv"), key=_view_index)
     if not view_paths:
         raise FormatError(f"{path}: no view files found")
     matrices = [read_matrix(p) for p in view_paths]
@@ -131,12 +160,9 @@ def load_dataset(path, minmax: bool = False):
         if m.shape[0] != n:
             raise FormatError(f"{p.name}: {m.shape[0]} rows, expected {n}")
 
-    labels_raw = read_matrix(path / "labels.csv")
-    if labels_raw.shape[1] != 1:
-        raise FormatError("labels.csv: expected one label per line")
-    if labels_raw.shape[0] != n:
-        raise FormatError(f"labels.csv: {labels_raw.shape[0]} rows, expected {n}")
-    labels = labels_raw[:, 0].astype(np.int64)
+    labels = read_labels(path / "labels.csv")
+    if labels.shape[0] != n:
+        raise FormatError(f"labels.csv: {labels.shape[0]} rows, expected {n}")
 
     mask = None
     mask_path = path / "mask.csv"

@@ -35,7 +35,10 @@ def _as_labels(x) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
-    return arr.astype(np.int64)
+    labels = arr.astype(np.int64, copy=False)
+    if (arr.dtype.kind not in "iu" and not np.array_equal(labels, arr)) or (labels < 0).any():
+        raise ContractError("labels must be nonnegative integers")
+    return labels
 
 
 def confusion_matrix(pred, truth) -> np.ndarray:

@@ -67,6 +67,36 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-
 
 
 # ---------------------------------------------------------------------------
+# exhaustive reverse sweep
+
+
+def exhaustive_backward(root) -> dict:
+    """Reference backward over a numkit tape, with no activity analysis.
+
+    Zero-fills a gradient buffer for every node reachable from ``root``,
+    constants included, runs every vjp and adds each contribution in place.
+    Returns ``id(node) -> gradient`` for every reachable node; the nodes'
+    own gradients are left untouched.
+    """
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node.parents if id(p) not in seen)
+    grads = {id(node): np.zeros_like(node.value) for node in order}
+    grads[id(root)] = np.ones((1, 1))
+    for node in reversed(order):
+        g = grads[id(node)]
+        for parent, vjp in zip(node.parents, node._vjps):
+            grads[id(parent)] += vjp(g)
+    return grads
+
+
+# ---------------------------------------------------------------------------
 # contrastive / guidance losses as scalar loops
 
 

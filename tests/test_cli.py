@@ -94,6 +94,21 @@ def test_run_missing_dataset_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_run_stray_view_file_exits_3(dataset, tmp_path):
+    (dataset / "view_extra.csv").write_text("1.0,2.0\n")
+    rc = main(["run", "--data", str(dataset), "--eta", "0.3", "--out", str(tmp_path / "o")] + FAST)
+    assert rc == 3
+
+
+def test_run_non_finite_cell_exits_3(dataset, tmp_path):
+    target = dataset / "view1.csv"
+    lines = target.read_text().splitlines()
+    lines[0] = "nan" + lines[0][lines[0].index(","):]
+    target.write_text("\n".join(lines) + "\n")
+    rc = main(["run", "--data", str(dataset), "--eta", "0.3", "--out", str(tmp_path / "o")] + FAST)
+    assert rc == 3
+
+
 def test_run_without_eta_or_mask_exits_2(dataset, tmp_path):
     rc = main(["run", "--data", str(dataset), "--out", str(tmp_path / "o")] + FAST)
     assert rc == 2
@@ -235,6 +250,15 @@ def test_eval_length_mismatch_exits_3(dataset, tmp_path):
     short.write_text("0\n1\n")
     rc = main(["eval", "--pred", str(short), "--truth", str(dataset / "labels.csv")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("truth", ["0\n-1\n1\n", "0\n0.5\n1\n"])
+def test_eval_negative_or_fractional_label_exits_3(tmp_path, truth):
+    truth_file, pred_file = tmp_path / "truth.csv", tmp_path / "pred.csv"
+    truth_file.write_text(truth)
+    pred_file.write_text("0\n1\n1\n")
+    assert main(["eval", "--pred", str(pred_file), "--truth", str(truth_file)]) == 3
+    assert main(["eval", "--pred", str(truth_file), "--truth", str(pred_file)]) == 3
 
 
 def test_eval_writes_report(dataset, tmp_path):

@@ -231,3 +231,32 @@ def test_parse_error_names_row_and_column(tmp_path):
     target.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="line 3, column 2"):
         dataio.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["view_extra.csv", "view0.csv", "view.csv"])
+def test_stray_view_file_is_a_format_error(tmp_path, name):
+    dataio.save_dataset(tmp_path, toy_views(), labels=np.zeros(4))
+    (tmp_path / name).write_text("1.0,2.0\n")
+    with pytest.raises(FormatError, match=name):
+        dataio.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_non_finite_cell_is_a_parse_error(tmp_path, cell):
+    dataio.save_dataset(tmp_path, toy_views(), labels=np.zeros(4))
+    target = tmp_path / "view2.csv"
+    lines = target.read_text().strip().splitlines()
+    cells = lines[1].split(",")
+    cells[2] = cell
+    lines[1] = ",".join(cells)
+    target.write_text("\n\n".join(lines) + "\n")  # blank lines do not shift the reported line
+    with pytest.raises(ParseError, match="view2.csv: line 3, column 3"):
+        dataio.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("bad", ["-1", "0.5"])
+def test_negative_or_fractional_label_is_a_format_error(tmp_path, bad):
+    dataio.save_dataset(tmp_path, toy_views(), labels=np.zeros(4))
+    (tmp_path / "labels.csv").write_text(f"0\n1\n{bad}\n1\n")
+    with pytest.raises(FormatError, match="labels.csv"):
+        dataio.load_dataset(tmp_path)

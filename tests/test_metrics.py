@@ -40,6 +40,14 @@ def test_accuracy_length_mismatch():
         metrics.accuracy(np.array([0, 1]), np.array([0, 1, 2]))
 
 
+@pytest.mark.parametrize("truth", [[0, -1, 1], [0, 0.5, 1]])
+def test_negative_or_fractional_labels_rejected(truth):
+    with pytest.raises(ContractError):
+        metrics.evaluate(np.array([0, 1, 1]), np.array(truth))
+    with pytest.raises(ContractError):
+        metrics.evaluate(np.array(truth), np.array([0, 1, 1]))
+
+
 def test_accuracy_equals_exhaustive_search():
     rng = np.random.default_rng(0)
     for _ in range(200):

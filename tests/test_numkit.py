@@ -5,7 +5,7 @@ import pytest
 
 from icmvc import numkit as nk
 from icmvc.errors import ConfigError, ContractError, ShapeError
-from oracles import numeric_gradient, relative_error
+from oracles import exhaustive_backward, numeric_gradient, relative_error
 
 
 def scalar(node):
@@ -201,6 +201,71 @@ def test_backward_additive_over_graph_reuse():
     nk.backward(nk.reduce(split, "sum"))
 
     np.testing.assert_allclose(shared.grad, left.grad + right.grad, atol=1e-15)
+
+
+def test_active_flag_follows_trainable_leaves():
+    w = nk.leaf(np.ones((2, 2)))
+    c = nk.constant(np.ones((2, 2)))
+    assert w.active and not c.active
+    assert not (c * 2.0).active and not nk.matmul(c, np.eye(2)).active
+    assert (c @ w).active and nk.matmul(np.eye(2), w).active and nk.reduce(w, "sum").active
+
+
+def test_backward_never_runs_a_vjp_into_a_constant():
+    def boom(g):
+        raise AssertionError("vjp into a constant ran")
+
+    x = nk.constant(np.arange(6, dtype=float).reshape(2, 3))
+    scaled = nk.DiffNode(2.0 * x.value, (x,), (boom,))
+    w = nk.leaf(np.ones((3, 2)))
+    prod = nk.DiffNode(scaled.value @ w.value, (scaled, w), (boom, lambda g: scaled.value.T @ g))
+    nk.backward(nk.reduce(prod, "sum"))
+    np.testing.assert_array_equal(w.grad, scaled.value.T @ np.ones((2, 2)))
+    for node in (x, scaled):
+        assert not node.active
+        np.testing.assert_array_equal(node.grad, np.zeros(node.shape))
+
+
+def test_backward_never_accumulates_into_a_shared_gradient():
+    # add hands its upstream gradient to both operands as the same array;
+    # a later in-place sum into w would corrupt the one w*w still needs
+    w = nk.leaf(np.array([[1.0, 2.0]]))
+    nk.backward(nk.reduce((w + w * w) * 4.0, "sum"))
+    np.testing.assert_array_equal(w.grad, 4.0 * (1.0 + 2.0 * w.value))
+
+
+@pytest.mark.parametrize(
+    "mode,include_self",
+    [(mode, True) for mode in ("full", "no-ins", "no-hg", "no-hg-no-clu")] + [("full", False)],
+)
+def test_backward_matches_exhaustive_sweep_on_full_model(mode, include_self):
+    from icmvc import network as net
+    from icmvc import objectives as obj
+    from icmvc.graphs import normalize
+    from icmvc.trainer import ABLATION_MODES
+
+    flags = ABLATION_MODES[mode]
+    rng = np.random.default_rng(13)
+    n = 12
+    views = [rng.normal(size=(n, 3)), rng.normal(size=(n, 5))]
+    views[0][[2, 7]] = 0.0  # zero-filled missing rows, as after masking
+    ops = []
+    for _ in views:
+        raw = (rng.random((n, n)) < 0.4).astype(float)
+        adjacency = np.maximum(raw, raw.T)
+        np.fill_diagonal(adjacency, 0.0)
+        ops.append(normalize(adjacency))
+    params = net.init_model([3, 5], 3, hidden_dim=16, embed_dim=8, gcn_layers=2, seed=13)
+    emb, asg = net.forward(params, ops, views)
+    total, _ = obj.total_loss(
+        emb.projections[0], emb.projections[1], asg.per_view[0], asg.per_view[1], asg.fused,
+        include_self=include_self, **flags,
+    )
+    reference = exhaustive_backward(total)
+    nk.backward(total)
+    for name, node in params.named_parameters():
+        want = reference.get(id(node), np.zeros(node.shape))
+        assert np.array_equal(node.grad, want), name
 
 
 def test_random_composition_gradients_match_finite_differences():
