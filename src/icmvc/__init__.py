@@ -31,7 +31,7 @@ from .objectives import (
     instance_contrastive_loss,
     total_loss,
 )
-from .trainer import TrainConfig, TrainResult, baseline, kmeans, prepare, train, train_ablation
+from .trainer import TrainConfig, TrainResult, baseline, kmeans, prepare, train
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "TrainResult",
     "prepare",
     "train",
-    "train_ablation",
     "baseline",
     "kmeans",
     "IcmvcError",

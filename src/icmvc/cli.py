@@ -15,8 +15,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -241,15 +240,19 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(views, labels, n_clusters, eta, seed, base_config):
-    config = TrainConfig(**dict(asdict(base_config), seed=seed))
-    mask = make_mask(views.n_instances, views.n_views, eta, seed)
+def _grid_cell(views, labels, n_clusters, stored_mask, eta, config):
+    """Train one sweep or ablation cell; returns (status, final metrics).
+
+    A library error during training fails only this cell, so the rest of
+    the grid still runs. A missing mask is a configuration problem of the
+    whole grid and propagates.
+    """
+    mask, _ = _mask_for(views, stored_mask, eta, config.seed)
     try:
         result = train(views, mask, n_clusters, config, labels=labels)
-        report = result.final_metrics
-        return {"eta": eta, "seed": seed, "status": "ok", "acc": report.acc, "nmi": report.nmi, "ari": report.ari}
     except IcmvcError as exc:
-        return {"eta": eta, "seed": seed, "status": f"error:{type(exc).__name__}", "acc": None, "nmi": None, "ari": None}
+        return f"error:{type(exc).__name__}", None
+    return "ok", result.final_metrics
 
 
 def _aggregate(cells):
@@ -291,25 +294,17 @@ def _sweep_csv(cells, aggregates) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_grid(jobs, tasks):
-    if jobs <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
 def cmd_sweep(args) -> int:
     config = build_config(args)
     views, labels, _, n_clusters = _load_for_run(args.data, not args.no_scale)
     etas = _parse_float_list(args.etas) if args.etas else list(DEFAULT_ETAS)
     seeds = _parse_int_list(args.seeds) if args.seeds else list(DEFAULT_SWEEP_SEEDS)
-    tasks = [
-        (lambda eta=eta, seed=seed: _sweep_cell(views, labels, n_clusters, eta, seed, config))
-        for eta in etas
-        for seed in seeds
-    ]
-    cells = _run_grid(args.jobs, tasks)
+    cells = []
+    for eta in etas:
+        for seed in seeds:
+            status, report = _grid_cell(views, labels, n_clusters, None, eta, replace(config, seed=seed))
+            scores = {k: getattr(report, k, None) for k in ("acc", "nmi", "ari")}
+            cells.append({"eta": eta, "seed": seed, "status": status, **scores})
     aggregates = _aggregate(cells)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -331,22 +326,11 @@ def cmd_ablate(args) -> int:
     views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale)
     eta = resolve_eta(args, file_values)
     seeds = _parse_int_list(args.seeds) if args.seeds else list(DEFAULT_SWEEP_SEEDS)
-
-    def ablate_cell(mode, flags, seed):
-        config = TrainConfig(**dict(asdict(base), seed=seed, **flags))
-        mask, _ = _mask_for(views, stored_mask, eta, seed)
-        try:
-            result = train(views, mask, n_clusters, config, labels=labels)
-            return mode, result.final_metrics
-        except IcmvcError:
-            return mode, None
-
-    tasks = [
-        (lambda mode=mode, flags=flags, seed=seed: ablate_cell(mode, flags, seed))
+    outcomes = [
+        (mode, _grid_cell(views, labels, n_clusters, stored_mask, eta, replace(base, seed=seed, **flags))[1])
         for mode, flags in ABLATION_MODES.items()
         for seed in seeds
     ]
-    outcomes = _run_grid(args.jobs, tasks)
     rows = []
     per_mode_acc = {}
     failed = sum(1 for _, report in outcomes if report is None)
@@ -470,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--etas", help="comma-separated missing rates")
     sweep.add_argument("--seeds", help="comma-separated seeds")
     sweep.add_argument("--seed", type=int, help=argparse.SUPPRESS)
-    sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     _add_train_flags(sweep)
     sweep.set_defaults(handler=cmd_sweep)
 
@@ -480,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--eta", type=float)
     ablate.add_argument("--seeds", help="comma-separated seeds")
     ablate.add_argument("--seed", type=int, help=argparse.SUPPRESS)
-    ablate.add_argument("--jobs", type=int, default=1)
     _add_train_flags(ablate)
     ablate.set_defaults(handler=cmd_ablate)
 

@@ -98,15 +98,16 @@ def read_matrix(path: Path) -> np.ndarray:
 
 
 def read_labels(path: Path) -> np.ndarray:
-    """One nonnegative integer label per line, as int64."""
+    """One integer label in [0, 2**53) per line, as int64. Larger decimals
+    do not survive the float parse exactly, so they are rejected."""
     raw = read_matrix(path)
     if raw.shape[1] != 1:
         raise FormatError(f"{path.name}: expected one label per line")
     values = raw[:, 0]
-    bad = (values < 0) | (values != np.floor(values))
+    bad = (values < 0) | (values != np.floor(values)) | (values >= 2.0**53)
     if bad.any():
         i = int(np.argmax(bad))
-        raise FormatError(f"{path.name}: label {values[i]!r} (entry {i + 1}) is not a nonnegative integer")
+        raise FormatError(f"{path.name}: label {values[i]!r} (entry {i + 1}) is not an integer in [0, 2**53)")
     return values.astype(np.int64)
 
 

@@ -24,7 +24,7 @@ class MetricsReport:
     acc: float
     nmi: float
     ari: float
-    confusion: np.ndarray  # true clusters x predicted clusters
+    confusion: np.ndarray  # distinct true labels x distinct predicted labels, ascending
     mapping: dict          # predicted cluster -> matched true cluster
 
     def to_dict(self):
@@ -41,33 +41,37 @@ def _as_labels(x) -> np.ndarray:
     return labels
 
 
-def confusion_matrix(pred, truth) -> np.ndarray:
+def _contingency(pred, truth):
+    """The confusion matrix with the truth and predicted label values of
+    its rows and columns."""
     pred, truth = _as_labels(pred), _as_labels(truth)
     if pred.shape[0] != truth.shape[0]:
         raise ContractError(f"label lengths differ: {pred.shape[0]} vs {truth.shape[0]}")
     if pred.shape[0] == 0:
         raise ContractError("empty label vectors")
-    table = np.zeros((truth.max() + 1, pred.max() + 1), dtype=np.int64)
-    np.add.at(table, (truth, pred), 1)
-    return table
+    truth_values, truth_codes = np.unique(truth, return_inverse=True)
+    pred_values, pred_codes = np.unique(pred, return_inverse=True)
+    table = np.zeros((truth_values.size, pred_values.size), dtype=np.int64)
+    np.add.at(table, (truth_codes, pred_codes), 1)
+    return table, truth_values, pred_values
 
 
-def accuracy(pred, truth):
-    """Best matched fraction under an optimal injective cluster mapping.
+def confusion_matrix(pred, truth) -> np.ndarray:
+    """Truth x predicted counts over the labels that occur, in ascending
+    label order; its size follows the number of distinct labels, not their
+    largest value."""
+    return _contingency(pred, truth)[0]
 
-    Rectangular confusion matrices are allowed; unmatched predicted clusters
-    contribute nothing. Returns (acc, mapping).
-    """
-    table = confusion_matrix(pred, truth)
+
+def _best_match(table, truth_values, pred_values):
     true_idx, pred_idx = linear_sum_assignment(-table)
     matched = int(table[true_idx, pred_idx].sum())
-    mapping = {int(p): int(t) for t, p in zip(true_idx, pred_idx)}
-    return matched / len(_as_labels(pred)), mapping
+    mapping = {int(pred_values[p]): int(truth_values[t]) for t, p in zip(true_idx, pred_idx)}
+    return matched / int(table.sum()), mapping
 
 
-def nmi(pred, truth) -> float:
-    """Mutual information over the geometric mean of the two entropies."""
-    table = confusion_matrix(pred, truth).astype(np.float64)
+def _nmi(table) -> float:
+    table = table.astype(np.float64)
     n = table.sum()
     row = table.sum(axis=1)
     col = table.sum(axis=0)
@@ -83,10 +87,10 @@ def nmi(pred, truth) -> float:
     return min(1.0, max(0.0, mi / math.sqrt(h_true * h_pred)))
 
 
-def ari(pred, truth) -> float:
-    """Pair-counting adjusted Rand index with zero expectation under chance."""
-    table = confusion_matrix(pred, truth)
+def _ari(table) -> float:
     n = int(table.sum())
+    if n < 2:
+        return 1.0  # no pairs to disagree on
 
     def comb2(x):
         return x * (x - 1) / 2.0
@@ -101,6 +105,26 @@ def ari(pred, truth) -> float:
     return (sum_cells - expected) / (maximum - expected)
 
 
+def accuracy(pred, truth):
+    """Best matched fraction under an optimal injective cluster mapping.
+
+    Rectangular confusion matrices are allowed; unmatched predicted clusters
+    contribute nothing. Returns (acc, mapping), the mapping from predicted
+    label values to matched truth label values.
+    """
+    return _best_match(*_contingency(pred, truth))
+
+
+def nmi(pred, truth) -> float:
+    """Mutual information over the geometric mean of the two entropies."""
+    return _nmi(confusion_matrix(pred, truth))
+
+
+def ari(pred, truth) -> float:
+    """Pair-counting adjusted Rand index with zero expectation under chance."""
+    return _ari(confusion_matrix(pred, truth))
+
+
 def labels_from_assignment(y: np.ndarray) -> np.ndarray:
     """Hard labels by per-row argmax; ties go to the lowest column."""
     y = np.asarray(y)
@@ -110,11 +134,6 @@ def labels_from_assignment(y: np.ndarray) -> np.ndarray:
 
 
 def evaluate(pred, truth) -> MetricsReport:
-    acc, mapping = accuracy(pred, truth)
-    return MetricsReport(
-        acc=acc,
-        nmi=nmi(pred, truth),
-        ari=ari(pred, truth),
-        confusion=confusion_matrix(pred, truth),
-        mapping=mapping,
-    )
+    table, truth_values, pred_values = _contingency(pred, truth)
+    acc, mapping = _best_match(table, truth_values, pred_values)
+    return MetricsReport(acc=acc, nmi=_nmi(table), ari=_ari(table), confusion=table, mapping=mapping)

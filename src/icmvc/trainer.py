@@ -105,16 +105,6 @@ class TrainResult:
     final_metrics: object = None   # MetricsReport when truth labels were given
     params: object = None          # trained ModelParams, for checkpointing
 
-    def history_rows(self):
-        rows = []
-        for epoch, breakdown in enumerate(self.history):
-            row = [epoch] + breakdown.as_row()
-            if self.metric_history:
-                report = self.metric_history[epoch]
-                row += [report.acc, report.nmi, report.ari]
-            rows.append(row)
-        return rows
-
 
 def prepare(views: ViewSet, mask: np.ndarray, config: TrainConfig):
     """Graph construction for every view: similarity, KNN, relation
@@ -210,10 +200,6 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
         final_metrics=final_metrics,
         params=params,
     )
-
-
-# the ablation path is the same loop; flags live on the config
-train_ablation = train
 
 
 # ---------------------------------------------------------------------------

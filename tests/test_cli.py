@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from icmvc.cli import main
 
@@ -173,7 +175,7 @@ def test_run_dump_embeddings_shape(dataset, tmp_path):
 def test_sweep_grid_and_aggregates(dataset, tmp_path):
     out = tmp_path / "sweep"
     rc = main(
-        ["sweep", "--data", str(dataset), "--out", str(out), "--etas", "0,0.3", "--seeds", "1,2", "--jobs", "2"] + FAST
+        ["sweep", "--data", str(dataset), "--out", str(out), "--etas", "0,0.3", "--seeds", "1,2"] + FAST
     )
     assert rc == 0
     header, rows = read_csv_rows(out / "sweep.csv")
@@ -188,7 +190,7 @@ def test_sweep_grid_and_aggregates(dataset, tmp_path):
 
 def test_sweep_eta_zero_matches_plain_run(dataset, tmp_path):
     out = tmp_path / "sweep"
-    rc = main(["sweep", "--data", str(dataset), "--out", str(out), "--etas", "0", "--seeds", "5", "--jobs", "1"] + FAST)
+    rc = main(["sweep", "--data", str(dataset), "--out", str(out), "--etas", "0", "--seeds", "5"] + FAST)
     assert rc == 0
     _, rows = read_csv_rows(out / "sweep.csv")
     cell = next(r for r in rows if r["row_type"] == "cell")
@@ -197,6 +199,17 @@ def test_sweep_eta_zero_matches_plain_run(dataset, tmp_path):
     payload = json.loads((run_out / "metrics.json").read_text())
     assert float(cell["acc"]) == payload["acc"]
     assert float(cell["nmi"]) == payload["nmi"]
+
+
+def test_sweep_rerun_byte_identical_in_grid_order(dataset, tmp_path):
+    cmd = ["sweep", "--data", str(dataset), "--etas", "0.3,0", "--seeds", "2,1"] + FAST
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(cmd + ["--out", str(a)]) == 0
+    assert main(cmd + ["--out", str(b)]) == 0
+    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+    _, rows = read_csv_rows(a / "sweep.csv")
+    cells = [(r["eta"], r["seed"]) for r in rows if r["row_type"] == "cell"]
+    assert cells == [("0.3", "2"), ("0.3", "1"), ("0.0", "2"), ("0.0", "1")]
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +265,45 @@ def test_eval_length_mismatch_exits_3(dataset, tmp_path):
     assert rc == 3
 
 
-@pytest.mark.parametrize("truth", ["0\n-1\n1\n", "0\n0.5\n1\n"])
+@pytest.mark.parametrize("truth", ["0\n-1\n1\n", "0\n0.5\n1\n", "0\n9007199254740993\n1\n"])
 def test_eval_negative_or_fractional_label_exits_3(tmp_path, truth):
     truth_file, pred_file = tmp_path / "truth.csv", tmp_path / "pred.csv"
     truth_file.write_text(truth)
     pred_file.write_text("0\n1\n1\n")
     assert main(["eval", "--pred", str(pred_file), "--truth", str(truth_file)]) == 3
     assert main(["eval", "--pred", str(truth_file), "--truth", str(pred_file)]) == 3
+
+
+def test_eval_far_apart_label_values_exit_0(tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n10000000\n")
+    assert main(["eval", "--pred", str(labels), "--truth", str(labels)]) == 0
+    assert "acc=1.000000" in capsys.readouterr().out
+
+
+LABEL_LINE = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "nan", "-inf", "1e400", "0.5", "1,2", "1_0", "x"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+LABEL_FILE = st.lists(LABEL_LINE, max_size=6).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pred=LABEL_FILE, truth=LABEL_FILE)
+def test_eval_any_label_text_exits_cleanly(tmp_path, capsys, pred, truth):
+    pred_file, truth_file = tmp_path / "pred.csv", tmp_path / "truth.csv"
+    pred_file.write_text(pred, encoding="utf-8")
+    truth_file.write_text(truth, encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["eval", "--pred", str(pred_file), "--truth", str(truth_file)])
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        scores = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+        assert 0.0 <= float(scores["acc"]) <= 1.0 and 0.0 <= float(scores["nmi"]) <= 1.0
+        assert -1.0 <= float(scores["ari"]) <= 1.0  # chance-adjusted, so it can go below 0
 
 
 def test_eval_writes_report(dataset, tmp_path):

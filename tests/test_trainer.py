@@ -5,7 +5,7 @@ from icmvc import trainer
 from icmvc.dataio import ViewSet, make_mask, synth_blobs
 from icmvc.errors import ConfigError, DivergenceError
 from icmvc.graphs import normalize
-from icmvc.trainer import TrainConfig, baseline, kmeans, prepare, train, train_ablation
+from icmvc.trainer import TrainConfig, baseline, kmeans, prepare, train
 from oracles import loop_knn, loop_normalize, loop_rbf, loop_symmetrize, loop_transfer
 
 SMALL = dict(hidden_dim=16, embed_dim=8)
@@ -146,10 +146,6 @@ def test_train_early_descent():
 
 # ---------------------------------------------------------------------------
 # ablation
-
-
-def test_ablation_all_flags_on_equals_train():
-    assert train_ablation is train
 
 
 @pytest.mark.parametrize(
