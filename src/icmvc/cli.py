@@ -75,22 +75,6 @@ def _parse_int_list(text: str):
 # configuration assembly: flags > config file > env seed > defaults
 
 
-FLAG_TO_FIELD = {
-    "epochs": "epochs",
-    "lr": "lr",
-    "knn": "knn_k",
-    "tau_i": "tau_instance",
-    "tau_c": "tau_cluster",
-    "tau_att": "tau_attention",
-    "dim": "hidden_dim",
-    "embed_dim": "embed_dim",
-    "layers": "gcn_layers",
-    "transfer": "transfer_rule",
-    "bandwidth": "bandwidth",
-    "target_interval": "target_interval",
-}
-
-
 def load_file_values(args) -> dict:
     if not getattr(args, "config", None):
         return {}
@@ -110,10 +94,10 @@ def build_config(args, file_values: dict | None = None) -> TrainConfig:
     if file_values is None:
         file_values = load_file_values(args)
     values.update({k: v for k, v in file_values.items() if k in values})
-    for flag, fieldname in FLAG_TO_FIELD.items():
-        flag_value = getattr(args, flag, None)
+    for name in values:  # each training flag's dest is its TrainConfig field
+        flag_value = getattr(args, name, None)
         if flag_value is not None:
-            values[fieldname] = flag_value
+            values[name] = flag_value
     values["seed"] = resolve_seed(args, file_values)
     ablate = getattr(args, "ablate", None)
     if ablate is not None:
@@ -151,7 +135,7 @@ def resolve_eta(args, file_values=None):
 
 def _load_for_run(data_dir: str, scale: bool):
     views, labels, mask = load_dataset(data_dir, minmax=scale)
-    n_clusters = int(labels.max()) + 1
+    n_clusters = int(np.unique(labels).size)
     return views, labels, mask, n_clusters
 
 
@@ -406,18 +390,16 @@ def cmd_baseline(args) -> int:
 
 def _add_train_flags(parser):
     parser.add_argument("--config", help="flat JSON config file; flags override it")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--knn", type=int)
-    parser.add_argument("--tau-i", dest="tau_i", type=float)
-    parser.add_argument("--tau-c", dest="tau_c", type=float)
-    parser.add_argument("--tau-att", dest="tau_att", type=float)
-    parser.add_argument("--dim", type=int, help="encoder hidden width")
+    parser.add_argument("--epochs", dest="epochs", type=int)
+    parser.add_argument("--lr", dest="lr", type=float)
+    parser.add_argument("--knn", dest="knn_k", type=int)
+    parser.add_argument("--tau-i", dest="tau_instance", type=float)
+    parser.add_argument("--tau-c", dest="tau_cluster", type=float)
+    parser.add_argument("--tau-att", dest="tau_attention", type=float)
+    parser.add_argument("--dim", dest="hidden_dim", type=int, help="encoder hidden width")
     parser.add_argument("--embed-dim", dest="embed_dim", type=int)
-    parser.add_argument("--layers", type=int)
-    parser.add_argument("--bandwidth", type=float)
-    parser.add_argument("--target-interval", dest="target_interval", type=int)
-    parser.add_argument("--transfer", choices=("copy", "union", "intersection"))
+    parser.add_argument("--layers", dest="gcn_layers", type=int)
+    parser.add_argument("--bandwidth", dest="bandwidth", type=float)
     parser.add_argument("--no-scale", action="store_true", help="skip per-view min-max scaling at load")
 
 

@@ -65,26 +65,29 @@ def write_matrix(path: Path, matrix: np.ndarray, integer: bool = False):
 
 def read_matrix(path: Path) -> np.ndarray:
     """Parse a headerless CSV of decimals; every cell must be finite."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path.name}: byte {exc.start} is not UTF-8 text") from None
     rows, linenos = [], []
     width = None
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            linenos.append(lineno)
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise FormatError(f"{path.name}: line {lineno} has {len(cells)} cells, expected {width}")
-            parsed = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ParseError(f"{path.name}: line {lineno}, column {col}: {cell!r} is not numeric") from None
-            rows.append(parsed)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        linenos.append(lineno)
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise FormatError(f"{path.name}: line {lineno} has {len(cells)} cells, expected {width}")
+        parsed = []
+        for col, cell in enumerate(cells, start=1):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise ParseError(f"{path.name}: line {lineno}, column {col}: {cell!r} is not numeric") from None
+        rows.append(parsed)
     if not rows:
         raise FormatError(f"{path.name}: empty file")
     matrix = np.array(rows, dtype=np.float64)
@@ -118,10 +121,19 @@ def _view_index(path: Path) -> int:
     return int(suffix)
 
 
-def minmax_scale(x: np.ndarray) -> np.ndarray:
-    """Per-feature scaling to [0, 1]; constant features map to 0."""
+def minmax_scale(x: np.ndarray, name: str) -> np.ndarray:
+    """Per-feature scaling to [0, 1]; constant features map to 0.
+
+    A feature whose range exceeds the largest float64 cannot be scaled; it
+    is a :class:`ParseError` naming the file ``name`` and the column.
+    """
     lo = x.min(axis=0)
-    span = x.max(axis=0) - lo
+    with np.errstate(over="ignore"):
+        span = x.max(axis=0) - lo
+    overflow = ~np.isfinite(span)
+    if overflow.any():
+        col = int(np.argmax(overflow)) + 1
+        raise ParseError(f"{name}: column {col} spans a range too wide for float64")
     span = np.where(span > 0, span, 1.0)
     return (x - lo) / span
 
@@ -138,7 +150,7 @@ def save_dataset(path, views: ViewSet, labels: np.ndarray, mask: np.ndarray | No
     meta = {
         "n_instances": views.n_instances,
         "n_views": views.n_views,
-        "n_clusters": int(np.max(labels)) + 1,
+        "n_clusters": int(np.unique(labels).size),
         "dims": views.dims,
     }
     (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -179,7 +191,7 @@ def load_dataset(path, minmax: bool = False):
             raise DataError(f"mask.csv: instance {bad} is missing in every view")
 
     if minmax:
-        matrices = [minmax_scale(m) for m in matrices]
+        matrices = [minmax_scale(m, p.name) for p, m in zip(view_paths, matrices)]
     views = ViewSet(matrices)
     if mask is not None:
         views = zero_fill(views, mask)

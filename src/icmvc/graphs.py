@@ -27,18 +27,6 @@ class SimilarityMatrix:
     bandwidth: float
 
 
-@dataclass
-class AdjacencySet:
-    """Per-view binary adjacency plus flags for rows still awaiting transfer."""
-
-    adjacency: list  # list of N x N float64 matrices with 0/1 entries
-    row_valid: list  # list of bool arrays; False = row must be filled by transfer
-
-    @property
-    def n_views(self) -> int:
-        return len(self.adjacency)
-
-
 def squared_distances(x: np.ndarray) -> np.ndarray:
     """All pairwise squared Euclidean distances via explicit differences.
 
@@ -102,30 +90,32 @@ def knn_adjacency(similarity: SimilarityMatrix, k: int) -> np.ndarray:
     return adj
 
 
-def transfer_relations(adjacencies: AdjacencySet, mask: np.ndarray, rule: str = "copy") -> AdjacencySet:
+def transfer_relations(adjacencies: list, mask: np.ndarray, rule: str = "copy") -> list:
     """Fill each missing row from the same instance's observed views.
 
-    ``copy`` takes the row of the lowest-indexed observed view, ``union`` the
-    elementwise OR over all observed views, ``intersection`` the AND. With
-    two views the three rules coincide. Transferred edges may point at
-    instances that are themselves unobserved in the destination view; they
-    are kept, since aggregation still flows through the remaining neighbors.
+    ``adjacencies`` holds one raw N x N 0/1 matrix per view; the inputs are
+    not modified. ``copy`` takes the row of the lowest-indexed observed view,
+    ``union`` the elementwise OR over all observed views, ``intersection``
+    the AND. With two views the three rules coincide. Transferred edges may
+    point at instances that are themselves unobserved in the destination
+    view; they are kept, since aggregation still flows through the remaining
+    neighbors.
     """
     if rule not in TRANSFER_RULES:
         raise ConfigError(f"unknown transfer rule {rule!r}")
     mask = np.asarray(mask, dtype=bool)
-    n, n_views = mask.shape
-    if n_views != adjacencies.n_views:
-        raise DataError("mask and adjacency set disagree on view count")
+    n_views = mask.shape[1]
+    if n_views != len(adjacencies):
+        raise DataError("mask and adjacency list disagree on view count")
     if not mask.any(axis=1).all():
         missing = int(np.where(~mask.any(axis=1))[0][0])
         raise DataError(f"instance {missing} is missing in every view")
-    out, valid = [], []
+    out = []
     for v in range(n_views):
-        a = adjacencies.adjacency[v].copy()
+        a = adjacencies[v].copy()
         for i in np.where(~mask[:, v])[0]:
             sources = np.where(mask[i])[0]
-            rows = np.stack([adjacencies.adjacency[w][i] for w in sources])
+            rows = np.stack([adjacencies[w][i] for w in sources])
             if rule == "copy":
                 a[i] = rows[0]
             elif rule == "union":
@@ -133,17 +123,13 @@ def transfer_relations(adjacencies: AdjacencySet, mask: np.ndarray, rule: str = 
             else:
                 a[i] = rows.min(axis=0)
         out.append(a)
-        valid.append(np.ones(n, dtype=bool))
-    return AdjacencySet(adjacency=out, row_valid=valid)
+    return out
 
 
-def finalize_adjacency(adjacencies: AdjacencySet) -> AdjacencySet:
+def finalize_adjacency(adjacencies: list) -> list:
     """OR-symmetrize every view, zero the diagonal, reject isolated nodes."""
-    for flags in adjacencies.row_valid:
-        if not np.asarray(flags).all():
-            raise DataError("finalize called before relation transfer completed")
     out = []
-    for v, a in enumerate(adjacencies.adjacency):
+    for v, a in enumerate(adjacencies):
         sym = np.maximum(a, a.T)
         np.fill_diagonal(sym, 0.0)
         sym = (sym > 0).astype(np.float64)
@@ -153,7 +139,7 @@ def finalize_adjacency(adjacencies: AdjacencySet) -> AdjacencySet:
                 f"view {v}: instance {int(isolated[0])} has no neighbors after symmetrization"
             )
         out.append(sym)
-    return AdjacencySet(adjacency=out, row_valid=[f.copy() for f in adjacencies.row_valid])
+    return out
 
 
 def normalize(adjacency: np.ndarray) -> np.ndarray:

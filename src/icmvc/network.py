@@ -91,11 +91,6 @@ class AssignmentBundle:
     per_view: list          # Y^v, each N x C row-stochastic (nodes or arrays)
     fused: nk.DiffNode      # Y
 
-    def values(self):
-        per = [y.value if isinstance(y, nk.DiffNode) else y for y in self.per_view]
-        fused = self.fused.value if isinstance(self.fused, nk.DiffNode) else self.fused
-        return per, fused
-
 
 def _uniform_init(rng, rows: int, cols: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(rows)
@@ -177,10 +172,6 @@ def attention_fuse(per_view, fusion: TwoLayerMLP, tau_att: float = 1.0):
     return fused, lam
 
 
-def project_instances(h: nk.DiffNode, head: TwoLayerMLP) -> nk.DiffNode:
-    return head.apply(h)
-
-
 def classify(h: nk.DiffNode, classifier_w: nk.DiffNode, classifier_b: nk.DiffNode) -> nk.DiffNode:
     """Shared affine map to cluster logits, then a row softmax."""
     return nk.row_softmax(nk.matmul(h, classifier_w) + classifier_b, 1.0)
@@ -192,7 +183,7 @@ def forward(params: ModelParams, operators, views, tau_att: float = 1.0):
     ops = [nk.constant(op) for op in operators]
     hs = [encode_view(x, op, w) for x, op, w in zip(xs, ops, params.encoder_weights)]
     fused, lam = attention_fuse(hs, params.fusion, tau_att)
-    zs = [project_instances(h, head) for h, head in zip(hs, params.heads)]
+    zs = [head.apply(h) for h, head in zip(hs, params.heads)]
     ys = [classify(h, params.classifier_w, params.classifier_b) for h in hs]
     y_fused = classify(fused, params.classifier_w, params.classifier_b)
     embeddings = EmbeddingBundle(per_view=hs, fused=fused, projections=zs, attention=lam)

@@ -410,13 +410,13 @@ class AdamState:
         self.second_moment = [np.zeros_like(p.value) for p in self.params]
 
 
-def adam_step(state: AdamState, params=None, grads=None):
+def adam_step(state: AdamState, grads=None):
     """One in-place Adam update; grads default to each param's .grad."""
-    params = state.params if params is None else list(params)
+    params = state.params
     if grads is None:
         grads = [p.grad for p in params]
-    if len(params) != len(grads) or len(params) != len(state.params):
-        raise ShapeError("params/grads length mismatch against optimizer state")
+    if len(grads) != len(params):
+        raise ShapeError("grads length mismatch against optimizer state")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
@@ -429,4 +429,3 @@ def adam_step(state: AdamState, params=None, grads=None):
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params

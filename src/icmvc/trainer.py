@@ -3,11 +3,10 @@ ablation switches, and the k-means baselines.
 
 One epoch is one Adam step over the whole dataset: encode every view,
 fuse, project, classify, evaluate the enabled loss terms, backpropagate.
-The guidance target is rebuilt from the current assignments each epoch
-(configurable interval) and treated as a constant within the step. Training
-needs no pretraining and no post-hoc clustering while the clustering term is
-active; with it ablated away, final labels come from k-means on the fused
-representation.
+The guidance target is rebuilt from the current assignments each epoch and
+treated as a constant within the step. Training needs no pretraining and no
+post-hoc clustering while the clustering term is active; with it ablated
+away, final labels come from k-means on the fused representation.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from . import numkit as nk
 from .dataio import ViewSet, zero_fill
 from .errors import ConfigError, DataError, DivergenceError
 from .graphs import (
-    AdjacencySet,
-    TRANSFER_RULES,
     finalize_adjacency,
     knn_adjacency,
     median_bandwidth,
@@ -59,9 +56,6 @@ class TrainConfig:
     use_clu: bool = True
     use_hg: bool = True
     include_self: bool = True
-    transfer_rule: str = "copy"
-    target_interval: int = 1
-    kmeans_restarts: int = 20
 
     def validate(self):
         if self.epochs < 1:
@@ -77,12 +71,8 @@ class TrainConfig:
             raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
         if self.use_hg and not self.use_clu:
             raise ConfigError("the guidance term is only valid together with the clustering term")
-        if self.transfer_rule not in TRANSFER_RULES:
-            raise ConfigError(f"unknown transfer rule {self.transfer_rule!r}")
         if self.gcn_layers < 1:
             raise ConfigError(f"gcn_layers must be >= 1, got {self.gcn_layers}")
-        if self.target_interval < 1:
-            raise ConfigError(f"target_interval must be >= 1, got {self.target_interval}")
         return self
 
     def ablation_name(self) -> str:
@@ -112,17 +102,13 @@ def prepare(views: ViewSet, mask: np.ndarray, config: TrainConfig):
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (views.n_instances, views.n_views):
         raise DataError(f"mask shape {mask.shape} does not match data")
-    raw, flags = [], []
+    raw = []
     for v in range(views.n_views):
         observed = mask[:, v]
         t = config.bandwidth if config.bandwidth is not None else median_bandwidth(views.views[v], observed)
         sim = rbf_similarity(views.views[v], observed, t)
         raw.append(knn_adjacency(sim, config.knn_k))
-        flags.append(observed.copy())
-    adj = AdjacencySet(adjacency=raw, row_valid=flags)
-    adj = transfer_relations(adj, mask, config.transfer_rule)
-    adj = finalize_adjacency(adj)
-    operators = [normalize(a) for a in adj.adjacency]
+    operators = [normalize(a) for a in finalize_adjacency(transfer_relations(raw, mask))]
     return operators, zero_fill(views, mask)
 
 
@@ -154,7 +140,7 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
     embeddings = assignments = None
     for epoch in range(config.epochs):
         emb, asg = forward(params, operators, filled.views, config.tau_attention)
-        if config.use_hg and (target is None or epoch % config.target_interval == 0):
+        if config.use_hg:
             target = high_confidence_target(asg.per_view[0], asg.per_view[1], asg.fused)
         total, breakdown = total_loss(
             emb.projections[0],
@@ -180,17 +166,15 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
         if epoch == config.epochs - 1:
             embeddings, assignments = emb, asg
 
-    per_view_values, fused_value = assignments.values()
+    fused_value = assignments.fused.value
     if config.use_clu:
         final_labels = labels_from_assignment(fused_value)
     else:
-        final_labels = kmeans(
-            embeddings.fused.value, n_clusters, seed=config.seed, restarts=config.kmeans_restarts
-        )
+        final_labels = kmeans(embeddings.fused.value, n_clusters, seed=config.seed)
     final_metrics = evaluate(final_labels, labels) if labels is not None else None
     return TrainResult(
         labels=final_labels,
-        assignments=AssignmentBundle(per_view=per_view_values, fused=fused_value),
+        assignments=AssignmentBundle(per_view=[y.value for y in assignments.per_view], fused=fused_value),
         history=history,
         metric_history=metric_history,
         embeddings=embeddings.fused.value,

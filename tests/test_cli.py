@@ -1,4 +1,6 @@
+import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from icmvc.cli import main
+from icmvc.cli import _add_train_flags, main
+from icmvc.trainer import TrainConfig
 
 FAST = ["--epochs", "4", "--dim", "16", "--embed-dim", "8", "--knn", "4"]
 
@@ -157,6 +160,31 @@ def test_run_config_file_precedence(dataset, tmp_path):
     assert main(["run", "--data", str(dataset), "--eta", "0.3", "--config", str(cfg), "--epochs", "2", "--out", str(out2)]) == 0
     _, rows2 = read_csv_rows(out2 / "history.csv")
     assert len(rows2) == 2
+
+
+def test_training_flags_store_into_config_fields():
+    parser = argparse.ArgumentParser()
+    _add_train_flags(parser)
+    dests = {action.dest for action in parser._actions} - {"help", "config", "no_scale"}
+    assert dests and dests <= {f.name for f in fields(TrainConfig)}
+
+
+@pytest.mark.parametrize("key, value", [("transfer_rule", "copy"), ("target_interval", 1), ("kmeans_restarts", 20)])
+def test_run_config_file_with_removed_key_exits_2(dataset, tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc = main(["run", "--data", str(dataset), "--eta", "0.3", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def test_run_and_baseline_count_distinct_labels(dataset, tmp_path):
+    labels = dataset / "labels.csv"
+    labels.write_text("".join(f"{20 * int(v)}\n" for v in labels.read_text().split()))  # 0/20/40
+    out = tmp_path / "sparse"
+    assert main(["run", "--data", str(dataset), "--eta", "0.3", "--seed", "1", "--out", str(out)] + FAST) == 0
+    assert {int(v) for v in (out / "labels.csv").read_text().split()} <= {0, 1, 2}
+    assert main(["baseline", "--data", str(dataset), "--kind", "concat", "--eta", "0.3", "--seed", "1"]) == 0
 
 
 def test_run_dump_embeddings_shape(dataset, tmp_path):

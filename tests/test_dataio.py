@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from icmvc import dataio
 from icmvc.errors import ConfigError, DataError, FormatError, ParseError
@@ -260,3 +262,65 @@ def test_negative_or_fractional_label_is_a_format_error(tmp_path, bad):
     (tmp_path / "labels.csv").write_text(f"0\n1\n{bad}\n1\n")
     with pytest.raises(FormatError, match="labels.csv"):
         dataio.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["view1.csv", "view2.csv", "labels.csv", "mask.csv"])
+def test_non_utf8_byte_is_a_parse_error(tmp_path, name):
+    dataio.save_dataset(tmp_path, toy_views(), labels=np.zeros(4), mask=np.ones((4, 2), dtype=bool))
+    target = tmp_path / name
+    target.write_bytes(target.read_bytes() + b"\xff\n")
+    with pytest.raises(ParseError, match=name):
+        dataio.load_dataset(tmp_path, minmax=True)
+
+
+def test_feature_range_beyond_float64_is_a_parse_error(tmp_path):
+    views = toy_views()
+    views.views[1][0, 1], views.views[1][3, 1] = 8e307, -8e307  # range 1.6e308 still fits
+    views.views[1][0, 2], views.views[1][3, 2] = 1e308, -1e308  # range 2e308 does not
+    dataio.save_dataset(tmp_path, views, labels=np.zeros(4))
+    with pytest.raises(ParseError, match="view2.csv: column 3"):
+        dataio.load_dataset(tmp_path, minmax=True)
+    views.views[1][:, 2] = 0.0
+    dataio.save_dataset(tmp_path, views, labels=np.zeros(4))
+    loaded, _, _ = dataio.load_dataset(tmp_path, minmax=True)
+    np.testing.assert_array_equal(loaded.views[1][[0, 3], 1], [1.0, 0.0])
+
+
+VIEW_CELL = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(["1e308", "-1e308"])
+FILE_CELLS = {  # name -> (cell strategy, columns)
+    "view1.csv": (VIEW_CELL, 2),
+    "view2.csv": (VIEW_CELL, 3),
+    "labels.csv": (st.integers(0, 3).map(str), 1),
+    "mask.csv": (st.sampled_from(["1", "1", "0"]), 2),
+}
+
+
+@st.composite
+def dataset_files(draw):
+    """Four rows of plausible cells per file; then, most of the time, one
+    file is replaced by arbitrary bytes or gets bytes spliced in."""
+    files = {}
+    for name, (cell, width) in FILE_CELLS.items():
+        rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=4, max_size=4))
+        files[name] = "".join(",".join(row) + "\n" for row in rows).encode()
+    victim = draw(st.sampled_from([None, *FILE_CELLS]))
+    if victim is not None:
+        junk = draw(st.binary(max_size=32) | st.text(max_size=4).map(lambda t: t.encode("utf-8", "surrogatepass")))
+        if draw(st.booleans()):
+            files[victim] = junk
+        else:
+            at = draw(st.integers(0, len(files[victim])))
+            files[victim] = files[victim][:at] + junk + files[victim][at:]
+    return files
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=dataset_files())
+def test_load_any_file_bytes_gives_finite_views_or_data_error(tmp_path, files):
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    try:
+        views, _, _ = dataio.load_dataset(tmp_path, minmax=True)
+    except DataError:
+        return
+    assert all(np.isfinite(v).all() for v in views.views)

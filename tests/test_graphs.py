@@ -5,7 +5,6 @@ import pytest
 
 from icmvc.errors import ConfigError, DataError, DegenerateGraphError
 from icmvc.graphs import (
-    AdjacencySet,
     finalize_adjacency,
     knn_adjacency,
     median_bandwidth,
@@ -121,21 +120,14 @@ def test_knn_rejects_out_of_range_k():
 # transfer_relations
 
 
-def _raw_set(adjs, mask):
-    return AdjacencySet(
-        adjacency=[a.copy() for a in adjs],
-        row_valid=[mask[:, v].copy() for v in range(mask.shape[1])],
-    )
-
-
 def test_transfer_full_mask_is_identity():
     rng = np.random.default_rng(1)
     mask = np.ones((5, 2), dtype=bool)
     adjs = [(rng.random((5, 5)) < 0.4).astype(float) for _ in range(2)]
     for rule in ("copy", "union", "intersection"):
-        out = transfer_relations(_raw_set(adjs, mask), mask, rule)
+        out = transfer_relations(adjs, mask, rule)
         for v in range(2):
-            np.testing.assert_array_equal(out.adjacency[v], adjs[v])
+            np.testing.assert_array_equal(out[v], adjs[v])
 
 
 def test_transfer_copies_row_from_observed_view():
@@ -144,9 +136,9 @@ def test_transfer_copies_row_from_observed_view():
     a1 = np.zeros((4, 4))
     a2 = np.zeros((4, 4))
     a2[2] = [1.0, 0.0, 0.0, 1.0]
-    out = transfer_relations(_raw_set([a1, a2], mask), mask, "copy")
-    np.testing.assert_array_equal(out.adjacency[0][2], [1.0, 0.0, 0.0, 1.0])
-    assert all(flags.all() for flags in out.row_valid)
+    out = transfer_relations([a1, a2], mask, "copy")
+    np.testing.assert_array_equal(out[0][2], [1.0, 0.0, 0.0, 1.0])
+    assert not a1.any()  # the input list is left as it was
 
 
 def test_transfer_union_and_intersection_three_views():
@@ -157,12 +149,12 @@ def test_transfer_union_and_intersection_three_views():
         mask[~mask.any(axis=1), 0] = True
         adjs = [(rng.random((n, n)) < 0.35).astype(float) for _ in range(3)]
         for rule in ("copy", "union", "intersection"):
-            out = transfer_relations(_raw_set(adjs, mask), mask, rule)
+            out = transfer_relations(adjs, mask, rule)
             expected = loop_transfer(
                 [a.tolist() for a in adjs], mask.tolist(), rule
             )
             for v in range(3):
-                np.testing.assert_array_equal(out.adjacency[v], np.array(expected[v]))
+                np.testing.assert_array_equal(out[v], np.array(expected[v]))
 
 
 def test_transfer_rejects_instance_missing_everywhere():
@@ -170,14 +162,14 @@ def test_transfer_rejects_instance_missing_everywhere():
     mask[1] = False
     adjs = [np.zeros((3, 3)) for _ in range(2)]
     with pytest.raises(DataError):
-        transfer_relations(_raw_set(adjs, mask), mask, "copy")
+        transfer_relations(adjs, mask, "copy")
 
 
 def test_transfer_rejects_unknown_rule():
     mask = np.ones((3, 2), dtype=bool)
     adjs = [np.zeros((3, 3)) for _ in range(2)]
     with pytest.raises(ConfigError):
-        transfer_relations(_raw_set(adjs, mask), mask, "xor")
+        transfer_relations(adjs, mask, "xor")
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +177,7 @@ def test_transfer_rejects_unknown_rule():
 
 
 def _finalized(adj):
-    n = adj.shape[0]
-    aset = AdjacencySet(adjacency=[adj], row_valid=[np.ones(n, dtype=bool)])
-    return finalize_adjacency(aset).adjacency[0]
+    return finalize_adjacency([adj])[0]
 
 
 def test_finalize_symmetric_fixed_point():
@@ -257,10 +247,8 @@ def run_pipeline(views, mask, k, t, rule):
     for v in range(mask.shape[1]):
         sim = rbf_similarity(views[v], mask[:, v], t)
         raw.append(knn_adjacency(sim, k))
-    aset = AdjacencySet(adjacency=raw, row_valid=[mask[:, v] for v in range(mask.shape[1])])
-    aset = transfer_relations(aset, mask, rule)
-    final = finalize_adjacency(aset)
-    return final.adjacency, [normalize(a) for a in final.adjacency]
+    final = finalize_adjacency(transfer_relations(raw, mask, rule))
+    return final, [normalize(a) for a in final]
 
 
 def run_loop_pipeline(views, mask, k, t, rule):

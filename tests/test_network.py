@@ -183,7 +183,7 @@ def test_projection_zero_weights_give_zero():
         w2=nk.leaf(np.zeros((3, 2))),
         b2=nk.leaf(np.zeros((1, 2))),
     )
-    out = net.project_instances(nk.constant(np.ones((4, 3))), head)
+    out = head.apply(nk.constant(np.ones((4, 3))))
     np.testing.assert_array_equal(out.value, np.zeros((4, 2)))
 
 
@@ -195,7 +195,7 @@ def test_projection_identity_head():
         b2=nk.leaf(np.zeros((1, 3))),
     )
     h = np.abs(np.random.default_rng(6).normal(size=(4, 3)))
-    out = net.project_instances(nk.constant(h), head)
+    out = head.apply(nk.constant(h))
     np.testing.assert_allclose(out.value, h, atol=0)
 
 
@@ -210,9 +210,9 @@ def test_projection_gradient():
     h = nk.constant(rng.normal(size=(5, 3)))
 
     def forward():
-        return scalar(nk.reduce(nk.unary(net.project_instances(h, head), "square"), "sum"))
+        return scalar(nk.reduce(nk.unary(head.apply(h), "square"), "sum"))
 
-    nk.backward(nk.reduce(nk.unary(net.project_instances(h, head), "square"), "sum"))
+    nk.backward(nk.reduce(nk.unary(head.apply(h), "square"), "sum"))
     for node in head.parameters():
         numeric = numeric_gradient(forward, node.value)
         assert relative_error(node.grad, numeric) < 1e-5

@@ -30,13 +30,9 @@ def small_problem(seed=0, n=36, eta=0.25):
 def test_prepare_full_mask_matches_no_missing_pipeline():
     views, _, _ = small_problem()
     full = np.ones((views.n_instances, 2), dtype=bool)
-    for rule in ("copy", "union", "intersection"):
-        ops_a, filled = prepare(views, full, small_config(transfer_rule=rule))
-        ops_b, _ = prepare(views, full, small_config(transfer_rule="copy"))
-        for a, b in zip(ops_a, ops_b):
-            np.testing.assert_array_equal(a, b)
-        for original, out in zip(views.views, filled.views):
-            np.testing.assert_array_equal(original, out)
+    _, filled = prepare(views, full, small_config())
+    for original, out in zip(views.views, filled.views):
+        np.testing.assert_array_equal(original, out)
 
 
 def test_prepare_missing_row_matches_loop_construction():
@@ -99,20 +95,6 @@ def test_train_label_free_result_identical():
     for ha, hb in zip(with_labels.history, without.history):
         assert ha.as_row() == hb.as_row()
     assert without.metric_history == [] and without.final_metrics is None
-
-
-def test_train_full_mask_transfer_rules_bitwise_equal():
-    views, _, labels = small_problem(seed=3)
-    full = np.ones((views.n_instances, 2), dtype=bool)
-    results = [
-        train(views, full, 3, small_config(epochs=3, transfer_rule=rule))
-        for rule in ("copy", "union", "intersection")
-    ]
-    for other in results[1:]:
-        np.testing.assert_array_equal(results[0].labels, other.labels)
-        np.testing.assert_array_equal(results[0].embeddings, other.embeddings)
-        for ha, hb in zip(results[0].history, other.history):
-            assert ha.as_row() == hb.as_row()
 
 
 def test_train_requires_two_views():
@@ -292,9 +274,9 @@ def test_baseline_rejects_unknown_kind():
         dict(tau_attention=0.0),
         dict(knn_k=0),
         dict(bandwidth=0.0),
-        dict(transfer_rule="xor"),
+        dict(use_clu=False),
         dict(gcn_layers=0),
-        dict(target_interval=0),
+        dict(lr=-0.001),
     ],
 )
 def test_config_validation(kw):
