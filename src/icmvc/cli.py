@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import MASK_PRNG, load_dataset, make_mask, read_labels, save_dataset, synth_blobs
-from .errors import ConfigError, DataError, DivergenceError, IcmvcError
+from .errors import ConfigError, DataError, DivergenceError, FormatError, IcmvcError
 from .metrics import evaluate
 from .network import save_checkpoint
 from .trainer import ABLATION_MODES, TrainConfig, baseline, train
@@ -136,6 +136,8 @@ def resolve_eta(args, file_values=None):
 def _load_for_run(data_dir: str, scale: bool):
     views, labels, mask = load_dataset(data_dir, minmax=scale)
     n_clusters = int(np.unique(labels).size)
+    if n_clusters < 2:
+        raise FormatError(f"labels.csv: {n_clusters} distinct label, need at least 2 clusters")
     return views, labels, mask, n_clusters
 
 

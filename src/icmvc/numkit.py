@@ -8,7 +8,8 @@ are inactive. Calling :func:`backward` on a scalar (1x1) root differentiates
 only the active nodes behind it: vjps into constants are never run and
 constants never hold a gradient (reverse-mode activity analysis). The engine
 is eager; the gradients of active nodes are the same numbers that running
-every vjp into zero-filled buffers would give.
+every vjp into zero-filled buffers would give. :func:`contrast_pair` is a
+fused op: one node for a whole contrastive loss, with a hand-derived backward.
 
 Numerical conventions (applied uniformly so downstream losses never see a
 NaN from an in-contract input):
@@ -277,10 +278,8 @@ def row_softmax(a: DiffNode, temperature: float = 1.0) -> DiffNode:
     return DiffNode(s, (a,), (vjp,))
 
 
-def row_l2_normalize(a: DiffNode) -> DiffNode:
-    """Scale every row to unit L2 norm; an exactly-zero row stays zero."""
-    a = _ensure(a)
-    av = a.value
+def _unit_rows(av: np.ndarray):
+    """Rows of ``av`` at unit L2 norm (a zero row stays zero, with zero gradient) and their vjp."""
     norms = np.sqrt((av * av).sum(axis=1, keepdims=True))
     nonzero = norms > 0.0
     safe = np.where(nonzero, norms, 1.0)
@@ -290,7 +289,54 @@ def row_l2_normalize(a: DiffNode) -> DiffNode:
         inner = (g * out).sum(axis=1, keepdims=True)
         return np.where(nonzero, (g - out * inner) / safe, 0.0)
 
+    return out, vjp
+
+
+def row_l2_normalize(a: DiffNode) -> DiffNode:
+    """Scale every row to unit L2 norm; an exactly-zero row stays zero."""
+    a = _ensure(a)
+    out, vjp = _unit_rows(a.value)
     return DiffNode(out, (a,), (vjp,))
+
+
+def contrast_pair(a: DiffNode, b: DiffNode, tau: float, include_self: bool = True) -> DiffNode:
+    """NT-Xent loss over both anchor directions (row i of ``a`` and ``b`` are positives), 1x1.
+
+    With the unit rows of ``a`` stacked over those of ``b`` as Z (2N x D) and
+    E = exp(Z Zᵀ / tau), it is sum_k log r_k - 2 sum_i cos(a_i, b_i) / tau, for
+    r = rowsum(E) clamped to ``EPS``; ``include_self=False`` zeroes E's diagonal.
+    The hand-derived backward runs once, on the first vjp call, for both parents.
+    """
+    if tau <= 0:
+        raise ConfigError(f"contrast temperature must be positive, got {tau}")
+    a, b = _ensure(a), _ensure(b)
+    if a.value.shape != b.value.shape:
+        raise ShapeError(f"contrast_pair operands differ: {a.value.shape} vs {b.value.shape}")
+    n = a.value.shape[0]
+    na, unit_vjp_a = _unit_rows(a.value)
+    nb, unit_vjp_b = _unit_rows(b.value)
+    z = np.vstack([na, nb])
+    e = z @ z.T  # the cosines, then exp(cosines / tau) in place: one 2N x 2N buffer
+    positives = np.trace(e, offset=n)
+    e /= tau
+    np.exp(e, out=e)
+    if not include_self:
+        np.fill_diagonal(e, 0.0)
+    r = np.maximum(e.sum(axis=1, keepdims=True), EPS)
+    value = np.log(r).sum() - 2.0 * positives / tau
+    grads = []
+
+    def unit_grads():
+        # dL/dZ = (E Z / r + E (Z / r) - 2 [Z_b; Z_a]) / tau, as E is symmetric
+        if not grads:
+            inv = 1.0 / r
+            ez, ez_inv = np.hsplit(e @ np.hstack([z, inv * z]), 2)
+            dz = (inv * ez + ez_inv - 2.0 * np.roll(z, n, axis=0)) / tau
+            grads.extend((unit_vjp_a(dz[:n]), unit_vjp_b(dz[n:])))
+        return grads
+
+    # a fresh array per call: backward() keeps the first contribution as given
+    return DiffNode([[value]], (a, b), (lambda g: g[0, 0] * unit_grads()[0], lambda g: g[0, 0] * unit_grads()[1]))
 
 
 def concat_cols(nodes) -> DiffNode:

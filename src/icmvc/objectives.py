@@ -1,7 +1,9 @@
 """The training objective: an instance-level contrastive term over projected
 embeddings, a cluster-level contrastive term over assignment columns with an
 entropy bonus, and a KL guidance term toward a sharpened high-confidence
-target. The three terms are summed with unit weights.
+target. The three terms are summed with unit weights. Both contrastive
+terms are one fused op, ``nk.contrast_pair``, with an analytic backward; the
+cluster term passes it the transposed assignments.
 
 Conventions tests rely on:
   * similarity s(u, w) is cosine, with zero rows scoring 0 against anything,
@@ -52,20 +54,6 @@ def _check_row_stochastic(y: nk.DiffNode, name: str):
         raise ContractError(f"{name} is not row-stochastic (row sums off by {np.max(np.abs(sums - 1.0)):.2e})")
 
 
-def _contrast_rows(a: nk.DiffNode, b: nk.DiffNode, tau: float, include_self: bool) -> nk.DiffNode:
-    """Per-row loss with rows of ``a`` as anchors and same-row ``b`` as positives."""
-    sim_aa = cosine_similarity_matrix(a, a)
-    sim_ab = cosine_similarity_matrix(a, b)
-    exp_aa = nk.unary(sim_aa / tau, "exp")
-    exp_ab = nk.unary(sim_ab / tau, "exp")
-    if not include_self:
-        off_diagonal = nk.constant(1.0 - np.eye(a.value.shape[0]))
-        exp_aa = exp_aa * off_diagonal
-    denom = nk.reduce(exp_aa, "row_sum") + nk.reduce(exp_ab, "row_sum")
-    positive = nk.diag_col(sim_ab) / tau
-    return nk.unary(denom, "log") - positive
-
-
 def instance_contrastive_loss(z1: nk.DiffNode, z2: nk.DiffNode, tau_instance: float, include_self: bool = True) -> nk.DiffNode:
     """Cross-view alignment of projected embeddings, averaged over 2N anchors."""
     if tau_instance <= 0:
@@ -73,10 +61,7 @@ def instance_contrastive_loss(z1: nk.DiffNode, z2: nk.DiffNode, tau_instance: fl
     if z1.value.shape != z2.value.shape:
         raise ContractError(f"projection shapes differ: {z1.value.shape} vs {z2.value.shape}")
     n = z1.value.shape[0]
-    per_row = nk.reduce(_contrast_rows(z1, z2, tau_instance, include_self), "sum") + nk.reduce(
-        _contrast_rows(z2, z1, tau_instance, include_self), "sum"
-    )
-    return per_row * (1.0 / (2.0 * n))
+    return nk.contrast_pair(z1, z2, tau_instance, include_self) * (1.0 / (2.0 * n))
 
 
 def _column_mean_entropy(y: nk.DiffNode) -> nk.DiffNode:
@@ -99,9 +84,7 @@ def cluster_contrastive_loss(y1: nk.DiffNode, y2: nk.DiffNode, tau_cluster: floa
     _check_row_stochastic(y2, "Y2")
     c = y1.value.shape[1]
     cols1, cols2 = nk.transpose(y1), nk.transpose(y2)
-    contrast = nk.reduce(_contrast_rows(cols1, cols2, tau_cluster, include_self), "sum") + nk.reduce(
-        _contrast_rows(cols2, cols1, tau_cluster, include_self), "sum"
-    )
+    contrast = nk.contrast_pair(cols1, cols2, tau_cluster, include_self)
     entropy = _column_mean_entropy(y1) + _column_mean_entropy(y2)
     return contrast * (1.0 / (2.0 * c)) - entropy
 

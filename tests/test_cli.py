@@ -187,6 +187,21 @@ def test_run_and_baseline_count_distinct_labels(dataset, tmp_path):
     assert main(["baseline", "--data", str(dataset), "--kind", "concat", "--eta", "0.3", "--seed", "1"]) == 0
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "ablate", "baseline"])
+def test_single_label_dataset_exits_3(dataset, tmp_path, capsys, command):
+    labels = dataset / "labels.csv"
+    labels.write_text("0\n" * len(labels.read_text().split()))
+    args = [command, "--data", str(dataset), "--eta", "0.3"]
+    if command == "sweep":
+        args = [command, "--data", str(dataset), "--etas", "0.3", "--seeds", "1"]
+    if command == "baseline":
+        args += ["--kind", "concat"]
+    else:
+        args += ["--out", str(tmp_path / "o")] + FAST
+    assert main(args) == 3
+    assert "labels.csv" in capsys.readouterr().err
+
+
 def test_run_dump_embeddings_shape(dataset, tmp_path):
     out = tmp_path / "emb"
     rc = main(["run", "--data", str(dataset), "--eta", "0.3", "--seed", "1", "--dump-embeddings", "--out", str(out)] + FAST)

@@ -301,6 +301,71 @@ def test_div_clamps_denominator():
 
 
 # ---------------------------------------------------------------------------
+# fused contrastive op
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("include_self", [True, False])
+@pytest.mark.parametrize("zero_row", [False, True])
+def test_contrast_pair_gradients_match_finite_differences(n, include_self, zero_row):
+    rng = np.random.default_rng(100 + n)
+    a = nk.leaf(rng.normal(size=(n, 3)))
+    b = nk.leaf(rng.normal(size=(n, 3)))
+    if zero_row:
+        a.value[n // 2] = 0.0
+
+    def forward():
+        return scalar(nk.contrast_pair(a, b, 0.7, include_self))
+
+    nk.backward(nk.contrast_pair(a, b, 0.7, include_self))
+    # a zero row sits on the normalization's kink: finite differences there
+    # are meaningless, and its analytic gradient must be exactly zero
+    kept = [i for i in range(n) if not (zero_row and i == n // 2)]
+    for node, rows in ((a, kept), (b, list(range(n)))):
+        numeric = numeric_gradient(forward, node.value)
+        if rows:
+            assert relative_error(node.grad[rows], numeric[rows]) < 1e-5
+    if zero_row:
+        assert np.all(a.grad[n // 2] == 0.0)
+
+
+def test_contrast_pair_gradient_only_into_active_parent():
+    rng = np.random.default_rng(7)
+    data_a, data_b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    both_a, both_b = nk.leaf(data_a), nk.leaf(data_b)
+    nk.backward(nk.contrast_pair(both_a, both_b, 0.5))
+    frozen, live = nk.constant(data_a), nk.leaf(data_b)
+    nk.backward(nk.contrast_pair(frozen, live, 0.5))
+    assert not frozen.active
+    np.testing.assert_array_equal(frozen.grad, np.zeros((5, 3)))
+    np.testing.assert_array_equal(live.grad, both_b.grad)
+
+
+def test_contrast_pair_parents_get_independent_gradients():
+    rng = np.random.default_rng(8)
+    a, b = nk.leaf(rng.normal(size=(4, 3))), nk.leaf(rng.normal(size=(4, 3)))
+    root = nk.contrast_pair(a, b, 0.9)  # unit upstream: the vjp must still copy
+    nk.backward(root)
+    first_a, first_b = a.grad.copy(), b.grad.copy()
+    a.grad[:] = 123.0
+    np.testing.assert_array_equal(b.grad, first_b)
+    nk.backward(root)
+    np.testing.assert_array_equal(a.grad, first_a)
+    np.testing.assert_array_equal(b.grad, first_b)
+
+
+def test_contrast_pair_rejects_bad_temperature_and_shapes():
+    a = nk.constant(np.ones((3, 2)))
+    for tau in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            nk.contrast_pair(a, a, tau)
+    with pytest.raises(ShapeError):
+        nk.contrast_pair(a, nk.constant(np.ones((3, 3))), 1.0)
+    with pytest.raises(ShapeError):
+        nk.contrast_pair(a, nk.constant(np.ones((2, 2))), 1.0)
+
+
+# ---------------------------------------------------------------------------
 # Adam
 
 

@@ -99,6 +99,41 @@ def test_instance_loss_permutation_invariant():
     assert abs(base - permuted) < 1e-10
 
 
+def _composed_contrast_pair(a, b, tau, include_self):
+    """nk.contrast_pair rebuilt from elementary numkit ops, one anchor direction at a time."""
+    total = nk.constant(0.0)
+    for x, y in ((a, b), (b, a)):
+        nx, ny = nk.row_l2_normalize(x), nk.row_l2_normalize(y)
+        sim_xy = nk.matmul(nx, nk.transpose(ny))
+        exp_xx = nk.unary(nk.matmul(nx, nk.transpose(nx)) * (1.0 / tau), "exp")
+        if not include_self:
+            exp_xx = exp_xx * (1.0 - np.eye(x.shape[0]))
+        denom = nk.reduce(exp_xx, "row_sum") + nk.reduce(nk.unary(sim_xy * (1.0 / tau), "exp"), "row_sum")
+        total = total + nk.reduce(nk.unary(denom, "log") - nk.diag_col(sim_xy) * (1.0 / tau), "sum")
+    return total
+
+
+def test_fused_contrast_matches_composed_ops():
+    rng = np.random.default_rng(9)
+    for trial in range(16):
+        n = int(rng.integers(1, 10))
+        d = int(rng.integers(2, 6))
+        tau = float(rng.uniform(0.3, 1.5))
+        include = bool(trial % 2)
+        data_a, data_b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        if trial % 4 == 3:
+            data_a[n // 2] = 0.0
+        fused_a, fused_b = nk.leaf(data_a), nk.leaf(data_b)
+        fused = nk.contrast_pair(fused_a, fused_b, tau, include)
+        nk.backward(fused)
+        composed_a, composed_b = nk.leaf(data_a), nk.leaf(data_b)
+        composed = _composed_contrast_pair(composed_a, composed_b, tau, include)
+        nk.backward(composed)
+        assert abs(scalar(fused) - scalar(composed)) < 1e-12
+        np.testing.assert_allclose(fused_a.grad, composed_a.grad, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fused_b.grad, composed_b.grad, rtol=0, atol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # cluster contrastive loss
 
