@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import typing
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -63,12 +64,16 @@ def _write_manifest(out_dir: Path, command: str, config: dict, extra: dict | Non
     _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_float_list(text: str):
-    return [float(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _parse_int_list(text: str):
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _parse_list(text: str, flag: str, kind) -> list:
+    """Comma-separated ``kind`` (int or float) values; an unreadable item is a config error."""
+    values = []
+    for item in text.split(","):
+        if item.strip():
+            try:
+                values.append(kind(item))
+            except ValueError:
+                raise ConfigError(f"{flag}: cannot read {item!r} as {kind.__name__}") from None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +87,26 @@ def load_file_values(args) -> dict:
         file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    known = set(asdict(TrainConfig())) | {"eta", "seed"}
-    unknown = set(file_values) - known
+    if not isinstance(file_values, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object")
+    hints = typing.get_type_hints(TrainConfig) | {"eta": float}
+    unknown = set(file_values) - set(hints)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in file_values.items():
+        if not _fits(value, hints[key]):
+            raise ConfigError(f"config key {key!r}: {value!r} does not fit its type")
     return file_values
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field typed int, float, bool or an optional of one."""
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None or isinstance(value, bool):
+        return type(value) in kinds
+    if float in kinds:
+        kinds += (int,)
+    return isinstance(value, tuple(k for k in kinds if k is not bool))
 
 
 def build_config(args, file_values: dict | None = None) -> TrainConfig:
@@ -283,8 +303,8 @@ def _sweep_csv(cells, aggregates) -> str:
 def cmd_sweep(args) -> int:
     config = build_config(args)
     views, labels, _, n_clusters = _load_for_run(args.data, not args.no_scale)
-    etas = _parse_float_list(args.etas) if args.etas else list(DEFAULT_ETAS)
-    seeds = _parse_int_list(args.seeds) if args.seeds else list(DEFAULT_SWEEP_SEEDS)
+    etas = _parse_list(args.etas, "--etas", float) if args.etas else list(DEFAULT_ETAS)
+    seeds = _parse_list(args.seeds, "--seeds", int) if args.seeds else list(DEFAULT_SWEEP_SEEDS)
     cells = []
     for eta in etas:
         for seed in seeds:
@@ -311,7 +331,7 @@ def cmd_ablate(args) -> int:
     base = build_config(args, file_values)
     views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale)
     eta = resolve_eta(args, file_values)
-    seeds = _parse_int_list(args.seeds) if args.seeds else list(DEFAULT_SWEEP_SEEDS)
+    seeds = _parse_list(args.seeds, "--seeds", int) if args.seeds else list(DEFAULT_SWEEP_SEEDS)
     outcomes = [
         (mode, _grid_cell(views, labels, n_clusters, stored_mask, eta, replace(base, seed=seed, **flags))[1])
         for mode, flags in ABLATION_MODES.items()

@@ -79,14 +79,17 @@ def knn_adjacency(similarity: SimilarityMatrix, k: int) -> np.ndarray:
     n_obs = int(observed.sum())
     if not (1 <= k <= n_obs - 1):
         raise ConfigError(f"k must lie in [1, {n_obs - 1}], got {k}")
+    idx = np.where(observed)[0]
+    sims = similarity.values[np.ix_(idx, idx)]
+    np.fill_diagonal(sims, -np.inf)
+    # keep every entry above the row's k-th largest, then fill the remaining
+    # slots from the entries equal to it in ascending index order
+    kth = np.partition(sims, -k, axis=1)[:, [-k]]
+    above = sims > kth
+    tied = sims == kth
+    keep = above | (tied & (np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)))
     adj = np.zeros((n, n))
-    candidates = np.where(observed)[0]
-    for i in candidates:
-        others = candidates[candidates != i]
-        sims = similarity.values[i, others]
-        # sort by similarity descending, then index ascending
-        order = np.lexsort((others, -sims))
-        adj[i, others[order[:k]]] = 1.0
+    adj[np.ix_(idx, idx)] = keep
     return adj
 
 

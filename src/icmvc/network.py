@@ -4,7 +4,8 @@ weight-shared soft classifier.
 
 All encoders end at a common hidden width so the fused representation is a
 row-wise convex combination of the per-view ones and a single classifier can
-serve every path.
+serve every path. Every GCN layer is one ``nk.gcn_layer`` node and every
+affine layer one ``nk.affine`` node.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ class TwoLayerMLP:
     b2: nk.DiffNode
 
     def apply(self, x: nk.DiffNode) -> nk.DiffNode:
-        hidden = nk.unary(nk.matmul(x, self.w1) + self.b1, "relu")
-        return nk.matmul(hidden, self.w2) + self.b2
+        return nk.affine(nk.affine(x, self.w1, self.b1, "relu"), self.w2, self.b2)
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -132,23 +132,19 @@ def init_model(
     return ModelParams(encoders, fusion, heads, classifier_w, classifier_b)
 
 
-def gcn_layer(h_in: nk.DiffNode, operator: nk.DiffNode, weight: nk.DiffNode, activation: str = "relu") -> nk.DiffNode:
-    """One propagation step: activation(operator @ h_in @ weight)."""
-    return nk.unary(nk.matmul(nk.matmul(operator, h_in), weight), activation)
+def encode_view(x: nk.DiffNode, operator, weights) -> nk.DiffNode:
+    """Stacked relu GCN layers (``nk.gcn_layer``); from the second on, a residual is added.
 
-
-def encode_view(x: nk.DiffNode, operator: nk.DiffNode, weights, activation: str = "relu") -> nk.DiffNode:
-    """Stacked GCN layers; from the second layer on, a residual is added.
-
-    The first layer changes width (view dimension to hidden), so it carries
-    no skip. Zero-filled missing rows generally become nonzero here through
-    neighbor aggregation.
+    ``operator`` is the view's constant propagation matrix, dense or
+    ``scipy.sparse``. The first layer changes width (view dimension to
+    hidden), so it carries no skip. Zero-filled missing rows generally become
+    nonzero here through neighbor aggregation.
     """
     if not weights:
         raise ConfigError("encoder has no layers")
-    h = gcn_layer(x, operator, weights[0], activation)
+    h = nk.gcn_layer(x, operator, weights[0])
     for w in weights[1:]:
-        h = gcn_layer(h, operator, w, activation) + h
+        h = nk.gcn_layer(h, operator, w, residual=True)
     return h
 
 
@@ -174,14 +170,13 @@ def attention_fuse(per_view, fusion: TwoLayerMLP, tau_att: float = 1.0):
 
 def classify(h: nk.DiffNode, classifier_w: nk.DiffNode, classifier_b: nk.DiffNode) -> nk.DiffNode:
     """Shared affine map to cluster logits, then a row softmax."""
-    return nk.row_softmax(nk.matmul(h, classifier_w) + classifier_b, 1.0)
+    return nk.row_softmax(nk.affine(h, classifier_w, classifier_b), 1.0)
 
 
 def forward(params: ModelParams, operators, views, tau_att: float = 1.0):
     """Full pass: encode each view, fuse, project, classify everything."""
     xs = [nk.constant(x) for x in views]
-    ops = [nk.constant(op) for op in operators]
-    hs = [encode_view(x, op, w) for x, op, w in zip(xs, ops, params.encoder_weights)]
+    hs = [encode_view(x, op, w) for x, op, w in zip(xs, operators, params.encoder_weights)]
     fused, lam = attention_fuse(hs, params.fusion, tau_att)
     zs = [head.apply(h) for h, head in zip(hs, params.heads)]
     ys = [classify(h, params.classifier_w, params.classifier_b) for h in hs]

@@ -8,8 +8,11 @@ are inactive. Calling :func:`backward` on a scalar (1x1) root differentiates
 only the active nodes behind it: vjps into constants are never run and
 constants never hold a gradient (reverse-mode activity analysis). The engine
 is eager; the gradients of active nodes are the same numbers that running
-every vjp into zero-filled buffers would give. :func:`contrast_pair` is a
-fused op: one node for a whole contrastive loss, with a hand-derived backward.
+every vjp into zero-filled buffers would give. The fused ops are one node
+each with a hand-written backward: :func:`affine` for a dense layer,
+:func:`gcn_layer` for a graph-convolution layer over a constant operator
+(dense or ``scipy.sparse``, never a node), and :func:`contrast_pair` for a
+whole contrastive loss.
 
 Numerical conventions (applied uniformly so downstream losses never see a
 NaN from an in-contract input):
@@ -199,7 +202,7 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def unary(a: DiffNode, kind: str) -> DiffNode:
-    """Pointwise relu/sigmoid/exp/log/sqrt/square/neg."""
+    """Pointwise relu/sigmoid/exp/log/square/neg."""
     a = _ensure(a)
     av = a.value
     if kind == "relu":
@@ -215,9 +218,6 @@ def unary(a: DiffNode, kind: str) -> DiffNode:
         safe = np.maximum(av, EPS)
         out = np.log(safe)
         vjp = lambda g: g / safe
-    elif kind == "sqrt":
-        out = np.sqrt(np.maximum(av, 0.0))
-        vjp = lambda g: g * 0.5 / np.sqrt(np.maximum(av, EPS))
     elif kind == "square":
         out = av * av
         vjp = lambda g: g * 2.0 * av
@@ -337,6 +337,71 @@ def contrast_pair(a: DiffNode, b: DiffNode, tau: float, include_self: bool = Tru
 
     # a fresh array per call: backward() keeps the first contribution as given
     return DiffNode([[value]], (a, b), (lambda g: g[0, 0] * unit_grads()[0], lambda g: g[0, 0] * unit_grads()[1]))
+
+
+def _masked_upstream(positive: np.ndarray):
+    """The relu vjp ``g -> g * positive``, computed once per upstream array:
+    within one backward sweep every vjp of a node receives the same ``g``."""
+    memo = [None, None]
+
+    def masked(g):
+        if memo[0] is not g:
+            memo[0], memo[1] = g, g * positive
+        return memo[1]
+
+    return masked
+
+
+def affine(x: DiffNode, w: DiffNode, b: DiffNode, act: str | None = None) -> DiffNode:
+    """``act(x @ w + b)`` as one node, for a 1 x C bias row and ``act`` None or ``"relu"``.
+
+    The backward applies the relu mask to the upstream gradient once and
+    shares it between the three vjps; each returns a fresh array.
+    """
+    x, w, b = _ensure(x), _ensure(w), _ensure(b)
+    xv, wv = x.value, w.value
+    if xv.shape[1] != wv.shape[0] or b.value.shape != (1, wv.shape[1]):
+        raise ShapeError(f"affine {xv.shape} @ {wv.shape} + {b.value.shape}")
+    out = xv @ wv
+    out += b.value
+    if act is None:
+        masked = lambda g: g
+    elif act == "relu":
+        np.maximum(out, 0.0, out=out)
+        masked = _masked_upstream(out > 0)
+    else:
+        raise ConfigError(f"unknown affine activation {act!r}")
+    vjps = (
+        lambda g: masked(g) @ wv.T,
+        lambda g: xv.T @ masked(g),
+        lambda g: masked(g).sum(axis=0, keepdims=True),
+    )
+    return DiffNode(out, (x, w, b), vjps)
+
+
+def gcn_layer(h: DiffNode, operator, w: DiffNode, residual: bool = False) -> DiffNode:
+    """``relu(operator @ h @ w)``, plus ``h`` when ``residual``, as one node.
+
+    ``operator`` is a constant matrix, a numpy array or ``scipy.sparse``, and
+    never a tape node. Forward and backward touch it only through
+    ``operator @ .`` and ``operator.T @ .``, so one path serves both kinds.
+    """
+    h, w = _ensure(h), _ensure(w)
+    hv, wv = h.value, w.value
+    if operator.shape[1] != hv.shape[0] or hv.shape[1] != wv.shape[0]:
+        raise ShapeError(f"gcn_layer {operator.shape} @ {hv.shape} @ {wv.shape}")
+    if residual and (operator.shape[0], wv.shape[1]) != hv.shape:
+        raise ShapeError(f"gcn_layer residual needs an output of shape {hv.shape}")
+    propagated = operator @ hv  # kept for the weight vjp
+    out = propagated @ wv
+    np.maximum(out, 0.0, out=out)
+    masked = _masked_upstream(out > 0)
+    if residual:
+        out += hv
+        vjp_h = lambda g: operator.T @ (masked(g) @ wv.T) + g
+    else:
+        vjp_h = lambda g: operator.T @ (masked(g) @ wv.T)
+    return DiffNode(out, (h, w), (vjp_h, lambda g: propagated.T @ masked(g)))
 
 
 def concat_cols(nodes) -> DiffNode:

@@ -7,6 +7,10 @@ The guidance target is rebuilt from the current assignments each epoch and
 treated as a constant within the step. Training needs no pretraining and no
 post-hoc clustering while the clustering term is active; with it ablated
 away, final labels come from k-means on the fused representation.
+
+``prepare()`` returns dense operators; ``train()`` converts them to CSR once
+and propagates through them sparsely. Only one epoch's tape is alive at a
+time: each epoch drops its references to the tape before the next forward.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import numkit as nk
 from .dataio import ViewSet, zero_fill
@@ -125,6 +130,7 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
         raise ConfigError(f"need at least 2 clusters, got {n_clusters}")
     started = time.perf_counter()
     operators, filled = prepare(views, mask, config)
+    operators = [sparse.csr_matrix(op) for op in operators]
     params = init_model(
         filled.dims,
         n_clusters,
@@ -136,12 +142,9 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
     optimizer = nk.AdamState(params.parameters(), lr=config.lr)
 
     history, metric_history = [], []
-    target = None
-    embeddings = assignments = None
     for epoch in range(config.epochs):
         emb, asg = forward(params, operators, filled.views, config.tau_attention)
-        if config.use_hg:
-            target = high_confidence_target(asg.per_view[0], asg.per_view[1], asg.fused)
+        target = high_confidence_target(asg.per_view[0], asg.per_view[1], asg.fused) if config.use_hg else None
         total, breakdown = total_loss(
             emb.projections[0],
             emb.projections[1],
@@ -163,22 +166,22 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
         history.append(breakdown)
         if labels is not None:
             metric_history.append(evaluate(labels_from_assignment(asg.fused.value), labels))
-        if epoch == config.epochs - 1:
-            embeddings, assignments = emb, asg
+        if epoch < config.epochs - 1:
+            del emb, asg, total  # free this tape before the next forward builds one
 
-    fused_value = assignments.fused.value
+    fused_value = asg.fused.value
     if config.use_clu:
         final_labels = labels_from_assignment(fused_value)
     else:
-        final_labels = kmeans(embeddings.fused.value, n_clusters, seed=config.seed)
+        final_labels = kmeans(emb.fused.value, n_clusters, seed=config.seed)
     final_metrics = evaluate(final_labels, labels) if labels is not None else None
     return TrainResult(
         labels=final_labels,
-        assignments=AssignmentBundle(per_view=[y.value for y in assignments.per_view], fused=fused_value),
+        assignments=AssignmentBundle(per_view=[y.value for y in asg.per_view], fused=fused_value),
         history=history,
         metric_history=metric_history,
-        embeddings=embeddings.fused.value,
-        attention=embeddings.attention.value,
+        embeddings=emb.fused.value,
+        attention=emb.attention.value,
         wall_time=time.perf_counter() - started,
         config=config,
         final_metrics=final_metrics,

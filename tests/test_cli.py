@@ -178,6 +178,28 @@ def test_run_config_file_with_removed_key_exits_2(dataset, tmp_path, capsys, key
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, config, named",
+    [
+        (["sweep", "--seeds", "1,x"], None, "'x'"),
+        (["sweep", "--etas", "0.3,abc"], None, "'abc'"),
+        (["ablate", "--eta", "0.3", "--seeds", "1,y"], None, "'y'"),
+        (["run", "--eta", "0.3"], 5, "JSON object"),
+        (["run", "--eta", "0.3"], {"epochs": "10"}, "'epochs'"),
+        (["run", "--eta", "0.3"], {"knn_k": 2.5}, "'knn_k'"),
+        (["run"], {"eta": "x"}, "'eta'"),
+    ],
+)
+def test_malformed_list_flag_or_config_value_exits_2(dataset, tmp_path, capsys, args, config, named):
+    args = args + ["--data", str(dataset), "--out", str(tmp_path / "o")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_run_and_baseline_count_distinct_labels(dataset, tmp_path):
     labels = dataset / "labels.csv"
     labels.write_text("".join(f"{20 * int(v)}\n" for v in labels.read_text().split()))  # 0/20/40

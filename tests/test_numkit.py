@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from icmvc import numkit as nk
 from icmvc.errors import ConfigError, ContractError, ShapeError
@@ -363,6 +364,129 @@ def test_contrast_pair_rejects_bad_temperature_and_shapes():
         nk.contrast_pair(a, nk.constant(np.ones((3, 3))), 1.0)
     with pytest.raises(ShapeError):
         nk.contrast_pair(a, nk.constant(np.ones((2, 2))), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# fused layer ops
+
+
+def weighted_square_sum(node, seed=0):
+    # a loss whose upstream gradient differs in every entry
+    weights = np.random.default_rng(seed).normal(size=node.shape)
+    return nk.reduce(nk.unary(node, "square") * weights, "sum")
+
+
+def random_operator(n, dense, seed=0):
+    rng = np.random.default_rng(seed)
+    op = np.where(rng.random((n, n)) < 0.4, rng.random((n, n)), 0.0)
+    return op if dense else sparse.csr_matrix(op)
+
+
+@pytest.mark.parametrize("act", [None, "relu"])
+def test_affine_gradients_match_finite_differences(act):
+    rng = np.random.default_rng(20)
+    x, w, b = nk.leaf(rng.normal(size=(5, 3))), nk.leaf(rng.normal(size=(3, 4))), nk.leaf(rng.normal(size=(1, 4)))
+
+    def build():
+        return weighted_square_sum(nk.affine(x, w, b, act))
+
+    nk.backward(build())
+    for node in (x, w, b):
+        numeric = numeric_gradient(lambda: scalar(build()), node.value)
+        assert relative_error(node.grad, numeric) < 1e-6
+
+
+def test_affine_matches_composed_ops_bit_for_bit():
+    rng = np.random.default_rng(21)
+    x, w, b = rng.normal(size=(6, 3)), rng.normal(size=(3, 4)), rng.normal(size=(1, 4))
+    np.testing.assert_array_equal(nk.affine(x, w, b).value, x @ w + b)
+    np.testing.assert_array_equal(nk.affine(x, w, b, "relu").value, np.maximum(x @ w + b, 0.0))
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("residual", [False, True])
+def test_gcn_layer_gradients_match_finite_differences(dense, residual):
+    rng = np.random.default_rng(22)
+    op = random_operator(6, dense, seed=23)
+    h = nk.leaf(rng.normal(size=(6, 4)))
+    w = nk.leaf(rng.normal(size=(4, 4 if residual else 3)))
+
+    def build():
+        return weighted_square_sum(nk.gcn_layer(h, op, w, residual))
+
+    nk.backward(build())
+    for node in (h, w):
+        numeric = numeric_gradient(lambda: scalar(build()), node.value)
+        assert relative_error(node.grad, numeric) < 1e-5
+
+
+def test_fused_layers_give_gradients_only_to_active_parents():
+    rng = np.random.default_rng(24)
+    x = nk.constant(rng.normal(size=(5, 3)))  # a first layer's input
+    w = nk.leaf(rng.normal(size=(3, 4)))
+    b = nk.constant(np.zeros((1, 2)))
+    hidden = nk.gcn_layer(x, random_operator(5, dense=False), w)
+    out = nk.affine(hidden, nk.constant(rng.normal(size=(4, 2))), b, "relu")
+    assert hidden.active and out.active
+    nk.backward(weighted_square_sum(out))
+    assert np.any(w.grad != 0.0)
+    for node in (x, b):
+        assert not node.active
+        np.testing.assert_array_equal(node.grad, np.zeros(node.shape))
+
+
+@pytest.mark.parametrize("make", ["affine", "gcn_layer"])
+def test_fused_layer_parents_get_independent_gradients(make):
+    rng = np.random.default_rng(25)
+    x, w = nk.leaf(rng.normal(size=(4, 3))), nk.leaf(rng.normal(size=(3, 3)))
+    if make == "affine":
+        b = nk.leaf(rng.normal(size=(1, 3)))
+        parents, root = (x, w, b), nk.reduce(nk.affine(x, w, b, "relu"), "sum")
+    else:
+        parents, root = (x, w), nk.reduce(nk.gcn_layer(x, random_operator(4, dense=True), w, residual=True), "sum")
+    nk.backward(root)  # unit upstream: the vjps must still return fresh arrays
+    first = [p.grad.copy() for p in parents]
+    parents[0].grad[:] = 123.0
+    for p, want in zip(parents[1:], first[1:]):
+        np.testing.assert_array_equal(p.grad, want)
+    nk.backward(root)
+    for p, want in zip(parents, first):
+        np.testing.assert_array_equal(p.grad, want)
+
+
+@pytest.mark.parametrize("make", ["affine", "gcn_layer"])
+def test_fused_layer_backward_follows_each_sweeps_upstream(make):
+    # the masked upstream is shared within one sweep, never carried into the next
+    rng = np.random.default_rng(26)
+    x, w, b = nk.leaf(rng.normal(size=(4, 3))), nk.leaf(rng.normal(size=(3, 3))), nk.leaf(rng.normal(size=(1, 3)))
+    op = random_operator(4, dense=False)
+
+    def layer():
+        return nk.affine(x, w, b, "relu") if make == "affine" else nk.gcn_layer(x, op, w, residual=True)
+
+    shared = layer()
+    nk.backward(weighted_square_sum(shared, seed=1))
+    nk.backward(weighted_square_sum(shared, seed=2))
+    second = [p.grad.copy() for p in (x, w)]
+    nk.backward(weighted_square_sum(layer(), seed=2))
+    for p, want in zip((x, w), second):
+        np.testing.assert_array_equal(want, p.grad)
+
+
+def test_fused_layers_reject_mismatched_shapes():
+    x = nk.constant(np.ones((4, 3)))
+    with pytest.raises(ShapeError):
+        nk.affine(x, np.ones((2, 5)), np.zeros((1, 5)))
+    with pytest.raises(ShapeError):
+        nk.affine(x, np.ones((3, 5)), np.zeros((1, 4)))
+    with pytest.raises(ShapeError):
+        nk.affine(x, np.ones((3, 5)), np.zeros((4, 5)))
+    with pytest.raises(ShapeError):
+        nk.gcn_layer(x, np.eye(5), np.ones((3, 3)))
+    with pytest.raises(ShapeError):
+        nk.gcn_layer(x, np.eye(4), np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        nk.gcn_layer(x, np.eye(4), np.ones((3, 5)), residual=True)
 
 
 # ---------------------------------------------------------------------------

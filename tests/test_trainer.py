@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,23 @@ def test_train_early_descent():
     first = np.mean([h.total for h in result.history[0:10]])
     last = np.mean([h.total for h in result.history[40:50]])
     assert last < first
+
+
+def test_train_keeps_one_tape_alive(monkeypatch):
+    # an epoch's tape must be freed before the next forward builds one
+    earlier = []
+
+    def tracking_forward(*args, **kwargs):
+        assert all(ref() is None for ref in earlier), "an earlier epoch's tape is still alive"
+        emb, asg = real_forward(*args, **kwargs)
+        earlier.append(weakref.ref(asg.fused.value))
+        return emb, asg
+
+    real_forward = trainer.forward
+    monkeypatch.setattr(trainer, "forward", tracking_forward)
+    views, mask, labels = small_problem(seed=3)
+    result = train(views, mask, 3, small_config(epochs=4), labels=labels)
+    assert len(earlier) == 4 and earlier[-1]() is result.assignments.fused
 
 
 # ---------------------------------------------------------------------------
