@@ -73,7 +73,18 @@ def _parse_list(text: str, flag: str, kind) -> list:
                 values.append(kind(item))
             except ValueError:
                 raise ConfigError(f"{flag}: cannot read {item!r} as {kind.__name__}") from None
+    if not values:
+        raise ConfigError(f"{flag}: no values in {text!r}")
     return values
+
+
+def _parse_seeds(text) -> list:
+    """The ``--seeds`` list of sweep and ablate, checked before any cell runs."""
+    seeds = _parse_list(text, "--seeds", int) if text else list(DEFAULT_SWEEP_SEEDS)
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"--seeds: seeds must be non-negative, got {seed}")
+    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +139,21 @@ def build_config(args, file_values: dict | None = None) -> TrainConfig:
 
 
 def resolve_seed(args, file_values=None) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if file_values and "seed" in file_values:
-        return int(file_values["seed"])
     env = os.environ.get("ICMVC_SEED")
-    if env is not None:
+    if getattr(args, "seed", None) is not None:
+        seed, source = args.seed, "--seed"
+    elif file_values and "seed" in file_values:
+        seed, source = int(file_values["seed"]), "config key 'seed'"
+    elif env is not None:
         try:
-            return int(env)
+            seed, source = int(env), "ICMVC_SEED"
         except ValueError:
             raise ConfigError(f"ICMVC_SEED must be an integer, got {env!r}") from None
-    return 0
+    else:
+        return 0
+    if seed < 0:
+        raise ConfigError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def resolve_eta(args, file_values=None):
@@ -304,7 +319,7 @@ def cmd_sweep(args) -> int:
     config = build_config(args)
     views, labels, _, n_clusters = _load_for_run(args.data, not args.no_scale)
     etas = _parse_list(args.etas, "--etas", float) if args.etas else list(DEFAULT_ETAS)
-    seeds = _parse_list(args.seeds, "--seeds", int) if args.seeds else list(DEFAULT_SWEEP_SEEDS)
+    seeds = _parse_seeds(args.seeds)
     cells = []
     for eta in etas:
         for seed in seeds:
@@ -331,7 +346,7 @@ def cmd_ablate(args) -> int:
     base = build_config(args, file_values)
     views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale)
     eta = resolve_eta(args, file_values)
-    seeds = _parse_list(args.seeds, "--seeds", int) if args.seeds else list(DEFAULT_SWEEP_SEEDS)
+    seeds = _parse_seeds(args.seeds)
     outcomes = [
         (mode, _grid_cell(views, labels, n_clusters, stored_mask, eta, replace(base, seed=seed, **flags))[1])
         for mode, flags in ABLATION_MODES.items()

@@ -13,6 +13,7 @@ run manifests so masks can be regenerated from (seed, algorithm) alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -250,8 +251,10 @@ def synth_blobs(
     """
     if n < n_clusters * n_views:
         raise ConfigError(f"need n >= clusters * views, got {n} < {n_clusters * n_views}")
-    if noise_sigma < 0:
-        raise ConfigError("noise_sigma must be nonnegative")
+    if n_views < 1 or dim < 1:
+        raise ConfigError(f"need at least 1 view and 1 dimension, got {n_views} and {dim}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ConfigError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
     if view_transforms not in ("rotation", "none"):
         raise ConfigError(f"unknown view transform {view_transforms!r}")
     rng = np.random.Generator(np.random.PCG64(seed))

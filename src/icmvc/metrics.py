@@ -1,11 +1,13 @@
 """Clustering evaluation: best-mapping accuracy, NMI, ARI.
 
 Accuracy solves an optimal one-to-one matching between predicted and true
-clusters on the confusion matrix. NMI uses the geometric-mean normalization
-and natural logs; ARI is standard pair counting. Degenerate partitions
-follow fixed conventions so results stay deterministic: two single-cluster
-partitions score 1.0, a single-cluster partition against a varied one
-scores 0.0 (and the ARI denominator-zero case means identical partitions).
+clusters on the confusion matrix with the Hungarian method (Kuhn, 1955), in
+its shortest-augmenting-path form, written here in plain Python. NMI uses
+the geometric-mean normalization and natural logs; ARI is standard pair
+counting. Degenerate partitions follow fixed conventions so results stay
+deterministic: two single-cluster partitions score 1.0, a single-cluster
+partition against a varied one scores 0.0 (and the ARI denominator-zero
+case means identical partitions).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractError
 
@@ -63,8 +64,51 @@ def confusion_matrix(pred, truth) -> np.ndarray:
     return _contingency(pred, truth)[0]
 
 
+def _max_assignment(table):
+    """A maximum-weight one-to-one matching of a 2-D count table, as int64
+    (row, column) index arrays with rows ascending; min(rows, columns) pairs.
+
+    Shortest augmenting paths with row and column potentials, O(n²m) on the
+    orientation with n <= m. It runs on Python ints: the tables are
+    clusters x clusters, small enough that per-call numpy overhead would
+    dominate, and integer potentials keep the optimum exact at any count.
+    """
+    flip = table.shape[0] > table.shape[1]
+    weights = (table.T if flip else table).tolist()
+    n, m = len(weights), len(weights[0])
+    u, v = [0] * (n + 1), [0] * (m + 1)
+    owner, way = [0] * (m + 1), [0] * (m + 1)  # owner[j]: 1-based row on column j, 0 if free
+    for i in range(1, n + 1):
+        owner[0], j0 = i, 0
+        minv, used = [math.inf] * (m + 1), [False] * (m + 1)
+        while owner[j0]:  # grow the alternating tree until it reaches a free column
+            used[j0] = True
+            i0, delta, j1 = owner[j0], math.inf, 0
+            row, ui = weights[i0 - 1], u[i0]
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = -row[j - 1] - ui - v[j]
+                    if reduced < minv[j]:
+                        minv[j], way[j] = reduced, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:  # augment along the path back to the root
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    pairs = sorted((j - 1, owner[j] - 1) if flip else (owner[j] - 1, j - 1) for j in range(1, m + 1) if owner[j])
+    rows, cols = zip(*pairs)
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+
+
 def _best_match(table, truth_values, pred_values):
-    true_idx, pred_idx = linear_sum_assignment(-table)
+    true_idx, pred_idx = _max_assignment(table)
     matched = int(table[true_idx, pred_idx].sum())
     mapping = {int(pred_values[p]): int(truth_values[t]) for t, p in zip(true_idx, pred_idx)}
     return matched / int(table.sum()), mapping

@@ -15,6 +15,7 @@ time: each epoch drops its references to the tape before the next forward.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -63,21 +64,18 @@ class TrainConfig:
     include_self: bool = True
 
     def validate(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        for name in ("tau_instance", "tau_cluster", "tau_attention"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.knn_k < 1:
-            raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
+        for name in ("epochs", "knn_k", "hidden_dim", "embed_dim", "gcn_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        bandwidth = ("bandwidth",) if self.bandwidth is not None else ()  # None: median heuristic
+        for name in ("lr", "tau_instance", "tau_cluster", "tau_attention") + bandwidth:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.use_hg and not self.use_clu:
             raise ConfigError("the guidance term is only valid together with the clustering term")
-        if self.gcn_layers < 1:
-            raise ConfigError(f"gcn_layers must be >= 1, got {self.gcn_layers}")
         return self
 
     def ablation_name(self) -> str:

@@ -200,6 +200,48 @@ def test_malformed_list_flag_or_config_value_exits_2(dataset, tmp_path, capsys, 
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, extra, env_seed, config, named",
+    [
+        ("gen", ["--seed", "-1"], None, None, "--seed"),
+        ("run", ["--seed", "-1"], None, None, "--seed"),
+        ("baseline", ["--seed", "-2"], None, None, "--seed"),
+        ("sweep", ["--seeds", "-1"], None, None, "--seeds"),
+        ("ablate", ["--seeds", "1,-2"], None, None, "--seeds"),
+        ("run", [], None, {"seed": -1}, "'seed'"),
+        ("run", [], "-3", None, "ICMVC_SEED"),
+        ("run", ["--lr", "nan"], None, None, "lr"),
+        ("run", ["--tau-i", "inf"], None, None, "tau_instance"),
+        ("run", ["--embed-dim", "0"], None, None, "embed_dim"),
+        ("run", ["--dim", "0"], None, None, "hidden_dim"),
+        ("run", ["--bandwidth", "nan"], None, None, "bandwidth"),
+        ("gen", ["--views", "0"], None, None, "view"),
+        ("gen", ["--dim", "0"], None, None, "dimension"),
+        ("gen", ["--sigma", "nan"], None, None, "noise_sigma"),
+        ("sweep", ["--etas", ","], None, None, "--etas"),
+        ("ablate", ["--seeds", ","], None, None, "--seeds"),
+    ],
+)
+def test_out_of_domain_argument_exits_2(dataset, tmp_path, capsys, monkeypatch, command, extra, env_seed, config, named):
+    out = ["--out", str(tmp_path / "o")]
+    base = {
+        "gen": ["--n", "20", "--clusters", "2", "--dim", "3", "--sigma", "0.2"] + out,
+        "run": ["--data", str(dataset), "--eta", "0.3"] + out + FAST,
+        "sweep": ["--data", str(dataset), "--etas", "0.3", "--seeds", "1"] + out + FAST,
+        "ablate": ["--data", str(dataset), "--eta", "0.3", "--seeds", "1"] + out + FAST,
+        "baseline": ["--data", str(dataset), "--kind", "concat", "--eta", "0.3"],
+    }[command]
+    monkeypatch.delenv("ICMVC_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("ICMVC_SEED", env_seed)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        base += ["--config", str(cfg)]
+    assert main([command] + base + extra) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_run_and_baseline_count_distinct_labels(dataset, tmp_path):
     labels = dataset / "labels.csv"
     labels.write_text("".join(f"{20 * int(v)}\n" for v in labels.read_text().split()))  # 0/20/40

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from icmvc import metrics
 from icmvc.errors import ContractError
@@ -68,6 +75,56 @@ def test_accuracy_beats_chance_on_balanced_truth():
         pred = random_labels(rng, truth.size, c)
         acc, _ = metrics.accuracy(pred, truth)
         assert acc >= 1.0 / c
+
+
+@st.composite
+def count_tables(draw):
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    top = draw(st.sampled_from([1, 2, 3, 40]))  # low tops make tied optima common
+    cells = draw(st.lists(st.integers(0, top), min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+
+def check_assignment(table):
+    """The solver's pairs for ``table``, after checking their shape."""
+    true_idx, pred_idx = metrics._max_assignment(table)
+    assert true_idx.dtype == pred_idx.dtype == np.int64
+    assert true_idx.size == pred_idx.size == min(table.shape)
+    assert (np.diff(true_idx) > 0).all()
+    assert np.unique(pred_idx).size == pred_idx.size
+    return true_idx, pred_idx
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=count_tables())
+def test_assignment_total_equals_exhaustive_search(table):
+    assume(table.sum() > 0)
+    rows, cols = np.indices(table.shape)
+    truth = np.repeat(rows.ravel(), table.ravel()).tolist()
+    pred = np.repeat(cols.ravel(), table.ravel()).tolist()
+    true_idx, pred_idx = check_assignment(table)
+    best = exhaustive_accuracy(pred, truth) * len(pred)
+    assert int(table[true_idx, pred_idx].sum()) == round(best)
+
+
+@pytest.mark.parametrize("size", [8, 13, 30, 60])
+def test_assignment_total_equals_scipy_on_large_tables(size):
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(size)
+    for top in (1, 3, 1000):
+        for cols in (size - 3, size, size + 5):
+            table = rng.integers(0, top + 1, size=(size, cols))
+            true_idx, pred_idx = check_assignment(table)
+            rows_ref, cols_ref = linear_sum_assignment(-table)
+            assert table[true_idx, pred_idx].sum() == table[rows_ref, cols_ref].sum()
+
+
+def test_package_import_leaves_scipy_optimize_out():
+    probe = "import sys, icmvc, icmvc.cli; print(sorted(k for k in sys.modules if k.split('.')[:2] == ['scipy', 'optimize']))"
+    env = dict(os.environ, PYTHONPATH=str(Path(metrics.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
