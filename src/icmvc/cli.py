@@ -168,8 +168,10 @@ def resolve_eta(args, file_values=None):
 # run plumbing shared by run / sweep / ablate
 
 
-def _load_for_run(data_dir: str, scale: bool):
+def _load_for_run(data_dir: str, scale: bool, training: bool = True):
     views, labels, mask = load_dataset(data_dir, minmax=scale)
+    if training and views.n_views != 2:
+        raise FormatError(f"{data_dir}: training needs exactly 2 views, the dataset has {views.n_views}")
     n_clusters = int(np.unique(labels).size)
     if n_clusters < 2:
         raise FormatError(f"labels.csv: {n_clusters} distinct label, need at least 2 clusters")
@@ -412,7 +414,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale)
+    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, training=False)
     seed = resolve_seed(args)
     eta = resolve_eta(args)
     mask, _ = _mask_for(views, stored_mask, eta, seed)

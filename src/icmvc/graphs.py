@@ -17,6 +17,8 @@ INVALID = -1.0  # sentinel for similarity entries involving unobserved instances
 
 TRANSFER_RULES = ("copy", "union", "intersection")
 
+BLOCK_BYTES = 4 * 2**20  # differences squared_distances holds at once
+
 
 @dataclass
 class SimilarityMatrix:
@@ -30,40 +32,55 @@ class SimilarityMatrix:
 def squared_distances(x: np.ndarray) -> np.ndarray:
     """All pairwise squared Euclidean distances via explicit differences.
 
-    The difference-based form mirrors a scalar loop bit for bit, which keeps
-    tie-breaking reproducible; the norm-expansion trick does not.
+    Row blocks of the upper triangle are reduced with one ``einsum`` each,
+    holding about ``BLOCK_BYTES`` of differences at a time (one row at
+    least), and mirrored into the lower half. Every entry reduces the same
+    D-length run of differences as the one-shot ``einsum`` over the whole
+    N x N x D tensor, so the result equals it bit for bit whatever the
+    blocking: it is deterministic, exactly symmetric and zero on the
+    diagonal. It is not bit-equal to a scalar loop once D >= 3, since the
+    reduction may sum in another order.
     """
-    diff = x[:, None, :] - x[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    n, d = x.shape
+    d2 = np.empty((n, n))
+    start = 0
+    while start < n:
+        rows = max(1, BLOCK_BYTES // max(1, 8 * d * (n - start)))
+        stop = min(n, start + rows)
+        diff = x[start:stop, None, :] - x[None, start:, :]
+        block = np.einsum("ijk,ijk->ij", diff, diff)
+        d2[start:stop, start:] = block
+        d2[start:, start:stop] = block.T
+        start = stop
+    return d2
 
 
-def median_bandwidth(x: np.ndarray, observed: np.ndarray) -> float:
-    """Median squared distance over distinct observed pairs; 1.0 if all zero."""
-    obs = x[observed]
-    if obs.shape[0] < 2:
+def median_bandwidth(d2: np.ndarray) -> float:
+    """Median squared distance over distinct pairs of the observed block
+    ``d2``; 1.0 if all zero."""
+    n_obs = d2.shape[0]
+    if n_obs < 2:
         raise DataError("bandwidth heuristic needs at least 2 observed instances")
-    d2 = squared_distances(obs)
-    upper = d2[np.triu_indices(obs.shape[0], k=1)]
-    med = float(np.median(upper))
+    med = float(np.median(d2[~np.tri(n_obs, dtype=bool)]))  # strict upper triangle
     return med if med > 0 else 1.0
 
 
-def rbf_similarity(x: np.ndarray, observed: np.ndarray, t: float) -> SimilarityMatrix:
+def rbf_similarity(d2: np.ndarray, observed: np.ndarray, t: float) -> SimilarityMatrix:
     """exp(-squared distance / t) between observed instances.
 
-    Rows and columns of unobserved instances carry the INVALID sentinel so a
-    later KNN step cannot silently pick them up.
+    ``d2`` holds the squared distances among the observed instances, in
+    index order. Rows and columns of unobserved instances carry the INVALID
+    sentinel so a later KNN step cannot silently pick them up.
     """
     if t <= 0:
         raise ConfigError(f"rbf bandwidth must be positive, got {t}")
     observed = np.asarray(observed, dtype=bool)
-    n = x.shape[0]
+    n = observed.shape[0]
     if int(observed.sum()) < 2:
         raise DataError("need at least 2 observed instances to build a graph")
     values = np.full((n, n), INVALID)
     idx = np.where(observed)[0]
-    block = np.exp(-squared_distances(x[idx]) / t)
-    values[np.ix_(idx, idx)] = block
+    values[np.ix_(idx, idx)] = np.exp(-d2 / t)
     return SimilarityMatrix(values=values, observed=observed, bandwidth=float(t))
 
 
@@ -113,18 +130,19 @@ def transfer_relations(adjacencies: list, mask: np.ndarray, rule: str = "copy") 
     if not mask.any(axis=1).all():
         missing = int(np.where(~mask.any(axis=1))[0][0])
         raise DataError(f"instance {missing} is missing in every view")
+    first = mask.argmax(axis=1)  # lowest-indexed observed view of each instance
+    combine = {"union": np.maximum, "intersection": np.minimum}.get(rule)
     out = []
     for v in range(n_views):
         a = adjacencies[v].copy()
-        for i in np.where(~mask[:, v])[0]:
-            sources = np.where(mask[i])[0]
-            rows = np.stack([adjacencies[w][i] for w in sources])
-            if rule == "copy":
-                a[i] = rows[0]
-            elif rule == "union":
-                a[i] = rows.max(axis=0)
-            else:
-                a[i] = rows.min(axis=0)
+        missing = ~mask[:, v]
+        for w in range(n_views):
+            rows = missing & (first == w)
+            a[rows] = adjacencies[w][rows]
+        if combine is not None:
+            for w in range(n_views):
+                rows = missing & mask[:, w]
+                a[rows] = combine(a[rows], adjacencies[w][rows])
         out.append(a)
     return out
 

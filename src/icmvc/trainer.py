@@ -31,6 +31,7 @@ from .graphs import (
     median_bandwidth,
     normalize,
     rbf_similarity,
+    squared_distances,
     transfer_relations,
 )
 from .metrics import evaluate, labels_from_assignment
@@ -100,16 +101,18 @@ class TrainResult:
 
 
 def prepare(views: ViewSet, mask: np.ndarray, config: TrainConfig):
-    """Graph construction for every view: similarity, KNN, relation
-    transfer, symmetrization, normalization; plus zero-filled features."""
+    """Graph construction for every view: squared distances (once per view),
+    similarity, KNN, relation transfer, symmetrization, normalization; plus
+    zero-filled features."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (views.n_instances, views.n_views):
         raise DataError(f"mask shape {mask.shape} does not match data")
     raw = []
     for v in range(views.n_views):
         observed = mask[:, v]
-        t = config.bandwidth if config.bandwidth is not None else median_bandwidth(views.views[v], observed)
-        sim = rbf_similarity(views.views[v], observed, t)
+        d2 = squared_distances(views.views[v][observed])
+        t = config.bandwidth if config.bandwidth is not None else median_bandwidth(d2)
+        sim = rbf_similarity(d2, observed, t)
         raw.append(knn_adjacency(sim, config.knn_k))
     operators = [normalize(a) for a in finalize_adjacency(transfer_relations(raw, mask))]
     return operators, zero_fill(views, mask)

@@ -266,6 +266,23 @@ def test_single_label_dataset_exits_3(dataset, tmp_path, capsys, command):
     assert "labels.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_views", [1, 3])
+@pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+def test_training_on_other_than_two_views_exits_3(tmp_path, capsys, command, n_views):
+    data = tmp_path / "views"
+    gen = ["gen", "--n", "36", "--views", str(n_views), "--clusters", "3", "--dim", "4", "--sigma", "0.4", "--seed", "1"]
+    assert main(gen + ["--out", str(data)]) == 0
+    capsys.readouterr()
+    if command == "sweep":
+        args = [command, "--data", str(data), "--etas", "0", "--seeds", "1"]
+    else:
+        args = [command, "--data", str(data), "--eta", "0"]
+    assert main(args + ["--out", str(tmp_path / "o")] + FAST) == 3
+    assert f"the dataset has {n_views}" in capsys.readouterr().err
+    if n_views == 3:  # the k-means baselines take any view count
+        assert main(["baseline", "--data", str(data), "--kind", "concat", "--eta", "0.3", "--seed", "1"]) == 0
+
+
 def test_run_dump_embeddings_shape(dataset, tmp_path):
     out = tmp_path / "emb"
     rc = main(["run", "--data", str(dataset), "--eta", "0.3", "--seed", "1", "--dump-embeddings", "--out", str(out)] + FAST)

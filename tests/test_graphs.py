@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from icmvc import graphs
 from icmvc.errors import ConfigError, DataError, DegenerateGraphError
 from icmvc.graphs import (
     finalize_adjacency,
@@ -10,6 +11,7 @@ from icmvc.graphs import (
     median_bandwidth,
     normalize,
     rbf_similarity,
+    squared_distances,
     transfer_relations,
 )
 from oracles import (
@@ -28,24 +30,46 @@ def quantized(rng, n, d):
     return rng.integers(-8, 9, size=(n, d)).astype(np.float64) * 0.25
 
 
+def similarity(x, observed, t):
+    """rbf_similarity over the squared distances of the observed rows of x."""
+    observed = np.asarray(observed, dtype=bool)
+    return rbf_similarity(squared_distances(x[observed]), observed, t)
+
+
+# ---------------------------------------------------------------------------
+# squared_distances
+
+
+def test_squared_distances_blocked_equals_one_shot(monkeypatch):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(101, 10)) * 3.0  # not quantized: roundoff depends on the reduction order
+    diff = x[:, None, :] - x[None, :, :]
+    one_shot = np.einsum("ijk,ijk->ij", diff, diff)
+    monkeypatch.setattr(graphs, "BLOCK_BYTES", 8 * 10 * 101 * 3)  # about 3 rows a block, 30+ blocks
+    d2 = squared_distances(x)
+    assert np.array_equal(d2, one_shot)
+    assert np.array_equal(d2, d2.T)
+    assert not np.diag(d2).any()
+
+
 # ---------------------------------------------------------------------------
 # rbf_similarity
 
 
 def test_rbf_identical_rows():
     x = np.array([[1.0, 2.0], [1.0, 2.0]])
-    s = rbf_similarity(x, ALL_OBSERVED(2), t=3.7)
+    s = similarity(x, ALL_OBSERVED(2), t=3.7)
     assert s.values[0, 1] == 1.0
 
 
 def test_rbf_unit_distance():
-    s = rbf_similarity(np.array([[0.0], [1.0]]), ALL_OBSERVED(2), t=1.0)
+    s = similarity(np.array([[0.0], [1.0]]), ALL_OBSERVED(2), t=1.0)
     assert abs(s.values[0, 1] - math.exp(-1.0)) < 1e-15
 
 
 def test_rbf_three_points():
     x = np.array([[0.0], [1.0], [3.0]])
-    s = rbf_similarity(x, ALL_OBSERVED(3), t=2.0)
+    s = similarity(x, ALL_OBSERVED(3), t=2.0)
     assert abs(s.values[0, 2] - math.exp(-4.5)) < 1e-15
     assert abs(s.values[1, 2] - math.exp(-2.0)) < 1e-15
     np.testing.assert_allclose(s.values, s.values.T)
@@ -53,7 +77,7 @@ def test_rbf_three_points():
 
 def test_rbf_marks_unobserved_invalid():
     x = np.array([[0.0], [1.0], [2.0]])
-    s = rbf_similarity(x, np.array([True, False, True]), t=1.0)
+    s = similarity(x, np.array([True, False, True]), t=1.0)
     assert np.all(s.values[1, :] == -1.0)
     assert np.all(s.values[:, 1] == -1.0)
     assert s.values[0, 2] > 0
@@ -62,14 +86,14 @@ def test_rbf_marks_unobserved_invalid():
 def test_rbf_rejects_bad_bandwidth_and_degenerate_input():
     x = np.zeros((3, 2))
     with pytest.raises(ConfigError):
-        rbf_similarity(x, ALL_OBSERVED(3), t=0.0)
+        similarity(x, ALL_OBSERVED(3), t=0.0)
     with pytest.raises(DataError):
-        rbf_similarity(x, np.array([True, False, False]), t=1.0)
+        similarity(x, np.array([True, False, False]), t=1.0)
 
 
 def test_median_bandwidth_positive_on_duplicates():
     x = np.ones((4, 2))
-    assert median_bandwidth(x, ALL_OBSERVED(4)) == 1.0
+    assert median_bandwidth(squared_distances(x)) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -79,21 +103,21 @@ def test_median_bandwidth_positive_on_duplicates():
 def test_knn_complete_graph_when_k_exhausts_candidates():
     rng = np.random.default_rng(0)
     x = quantized(rng, 5, 2)
-    s = rbf_similarity(x, ALL_OBSERVED(5), t=2.0)
+    s = similarity(x, ALL_OBSERVED(5), t=2.0)
     adj = knn_adjacency(s, k=4)
     expected = np.ones((5, 5)) - np.eye(5)
     np.testing.assert_array_equal(adj, expected)
 
 
 def test_knn_top1_rows():
-    s = rbf_similarity(np.zeros((3, 1)), ALL_OBSERVED(3), t=1.0)
+    s = similarity(np.zeros((3, 1)), ALL_OBSERVED(3), t=1.0)
     s.values[:] = [[1.0, 0.9, 0.1], [0.9, 1.0, 0.2], [0.1, 0.2, 1.0]]
     adj = knn_adjacency(s, k=1)
     np.testing.assert_array_equal(adj, [[0, 1, 0], [1, 0, 0], [0, 1, 0]])
 
 
 def test_knn_tie_breaks_to_lower_index():
-    s = rbf_similarity(np.zeros((3, 1)), ALL_OBSERVED(3), t=1.0)
+    s = similarity(np.zeros((3, 1)), ALL_OBSERVED(3), t=1.0)
     s.values[:] = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]
     adj = knn_adjacency(s, k=1)
     assert adj[0, 1] == 1.0 and adj[0, 2] == 0.0
@@ -102,7 +126,7 @@ def test_knn_tie_breaks_to_lower_index():
 def test_knn_skips_unobserved_candidates():
     x = np.array([[0.0], [0.25], [4.0]])
     observed = np.array([True, False, True])
-    s = rbf_similarity(x, observed, t=1.0)
+    s = similarity(x, observed, t=1.0)
     adj = knn_adjacency(s, k=1)
     # nearest observed neighbor of 0 is 2, despite 1 being closer
     np.testing.assert_array_equal(adj[0], [0, 0, 1])
@@ -110,7 +134,7 @@ def test_knn_skips_unobserved_candidates():
 
 
 def test_knn_rejects_out_of_range_k():
-    s = rbf_similarity(np.zeros((3, 1)), ALL_OBSERVED(3), t=1.0)
+    s = similarity(np.zeros((3, 1)), ALL_OBSERVED(3), t=1.0)
     for bad in (0, 3):
         with pytest.raises(ConfigError):
             knn_adjacency(s, k=bad)
@@ -245,7 +269,7 @@ def test_normalize_perron_vector():
 def run_pipeline(views, mask, k, t, rule):
     raw = []
     for v in range(mask.shape[1]):
-        sim = rbf_similarity(views[v], mask[:, v], t)
+        sim = similarity(views[v], mask[:, v], t)
         raw.append(knn_adjacency(sim, k))
     final = finalize_adjacency(transfer_relations(raw, mask, rule))
     return final, [normalize(a) for a in final]

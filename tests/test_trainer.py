@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -64,6 +65,19 @@ def test_prepare_handles_every_instance_incomplete():
     for v in range(2):
         zeroed = ~mask[:, v]
         assert np.all(filled.views[v][zeroed] == 0.0)
+
+
+def test_prepare_memory_does_not_grow_with_n_squared_times_d():
+    # a 255 x 255 x 128 float64 difference tensor alone would be about 64 MiB
+    views, _ = synth_blobs(300, 2, 3, dim=128, noise_sigma=0.5, seed=0)
+    mask = make_mask(300, 2, eta=0.3, seed=0)
+    tracemalloc.start()
+    try:
+        prepare(views, mask, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
