@@ -168,10 +168,18 @@ def resolve_eta(args, file_values=None):
 # run plumbing shared by run / sweep / ablate
 
 
-def _load_for_run(data_dir: str, scale: bool, training: bool = True):
+def _load_for_run(data_dir: str, scale: bool, config: TrainConfig | None = None):
+    """Load a dataset; with the ``config`` of a training, also reject what no
+    training on it can run, before any training starts."""
     views, labels, mask = load_dataset(data_dir, minmax=scale)
-    if training and views.n_views != 2:
-        raise FormatError(f"{data_dir}: training needs exactly 2 views, the dataset has {views.n_views}")
+    if config is not None:
+        if views.n_views != 2:
+            raise FormatError(f"{data_dir}: training needs exactly 2 views, the dataset has {views.n_views}")
+        if config.knn_k > views.n_instances - 1:
+            raise ConfigError(
+                f"--knn {config.knn_k} needs more instances: the dataset has {views.n_instances}, "
+                f"so it must be at most {views.n_instances - 1}"
+            )
     n_clusters = int(np.unique(labels).size)
     if n_clusters < 2:
         raise FormatError(f"labels.csv: {n_clusters} distinct label, need at least 2 clusters")
@@ -202,7 +210,7 @@ def _history_csv(result) -> str:
 def cmd_run(args) -> int:
     file_values = load_file_values(args)
     config = build_config(args, file_values)
-    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale)
+    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, config)
     eta = resolve_eta(args, file_values)
     mask, mask_source = _mask_for(views, stored_mask, eta, config.seed)
     result = train(views, mask, n_clusters, config, labels=labels)
@@ -272,10 +280,11 @@ def _grid_cell(views, labels, n_clusters, stored_mask, eta, config):
     """
     mask, _ = _mask_for(views, stored_mask, eta, config.seed)
     try:
-        result = train(views, mask, n_clusters, config, labels=labels)
+        result = train(views, mask, n_clusters, config)  # no per-epoch scores: nothing reads them
+        report = evaluate(result.labels, labels)
     except IcmvcError as exc:
         return f"error:{type(exc).__name__}", None
-    return "ok", result.final_metrics
+    return "ok", report
 
 
 def _aggregate(cells):
@@ -319,7 +328,7 @@ def _sweep_csv(cells, aggregates) -> str:
 
 def cmd_sweep(args) -> int:
     config = build_config(args)
-    views, labels, _, n_clusters = _load_for_run(args.data, not args.no_scale)
+    views, labels, _, n_clusters = _load_for_run(args.data, not args.no_scale, config)
     etas = _parse_list(args.etas, "--etas", float) if args.etas else list(DEFAULT_ETAS)
     seeds = _parse_seeds(args.seeds)
     cells = []
@@ -346,7 +355,7 @@ def cmd_sweep(args) -> int:
 def cmd_ablate(args) -> int:
     file_values = load_file_values(args)
     base = build_config(args, file_values)
-    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale)
+    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, base)
     eta = resolve_eta(args, file_values)
     seeds = _parse_seeds(args.seeds)
     outcomes = [
@@ -414,7 +423,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, training=False)
+    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale)
     seed = resolve_seed(args)
     eta = resolve_eta(args)
     mask, _ = _mask_for(views, stored_mask, eta, seed)

@@ -8,9 +8,10 @@ treated as a constant within the step. Training needs no pretraining and no
 post-hoc clustering while the clustering term is active; with it ablated
 away, final labels come from k-means on the fused representation.
 
-``prepare()`` returns dense operators; ``train()`` converts them to CSR once
-and propagates through them sparsely. Only one epoch's tape is alive at a
-time: each epoch drops its references to the tape before the next forward.
+``prepare()`` builds each view's graph as an edge list and returns the
+propagation operators as ``scipy.sparse`` CSR matrices, which ``train()``
+propagates through as they are. Only one epoch's tape is alive at a time:
+each epoch drops its references to the tape before the next forward.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import numkit as nk
 from .dataio import ViewSet, zero_fill
@@ -102,8 +102,9 @@ class TrainResult:
 
 def prepare(views: ViewSet, mask: np.ndarray, config: TrainConfig):
     """Graph construction for every view: squared distances (once per view),
-    similarity, KNN, relation transfer, symmetrization, normalization; plus
-    zero-filled features."""
+    similarity and KNN among the observed instances, then relation transfer,
+    symmetrization and normalization on edge lists; returns the CSR
+    operators and the zero-filled features."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (views.n_instances, views.n_views):
         raise DataError(f"mask shape {mask.shape} does not match data")
@@ -112,8 +113,8 @@ def prepare(views: ViewSet, mask: np.ndarray, config: TrainConfig):
         observed = mask[:, v]
         d2 = squared_distances(views.views[v][observed])
         t = config.bandwidth if config.bandwidth is not None else median_bandwidth(d2)
-        sim = rbf_similarity(d2, observed, t)
-        raw.append(knn_adjacency(sim, config.knn_k))
+        sim = rbf_similarity(d2, t)
+        raw.append(knn_adjacency(sim, observed, config.knn_k))
     operators = [normalize(a) for a in finalize_adjacency(transfer_relations(raw, mask))]
     return operators, zero_fill(views, mask)
 
@@ -131,7 +132,6 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
         raise ConfigError(f"need at least 2 clusters, got {n_clusters}")
     started = time.perf_counter()
     operators, filled = prepare(views, mask, config)
-    operators = [sparse.csr_matrix(op) for op in operators]
     params = init_model(
         filled.dims,
         n_clusters,

@@ -336,6 +336,29 @@ def test_sweep_rerun_byte_identical_in_grid_order(dataset, tmp_path):
     assert cells == [("0.3", "2"), ("0.3", "1"), ("0.0", "2"), ("0.0", "1")]
 
 
+def test_grid_cells_train_without_per_epoch_scores(dataset, tmp_path, monkeypatch):
+    from icmvc import cli
+
+    seen = []
+    real_train = cli.train
+    monkeypatch.setattr(cli, "train", lambda *args, **kw: seen.append(kw.get("labels")) or real_train(*args, **kw))
+    assert main(["sweep", "--data", str(dataset), "--etas", "0.3", "--seeds", "1", "--out", str(tmp_path / "s")] + FAST) == 0
+    assert main(["ablate", "--data", str(dataset), "--eta", "0.3", "--seeds", "1", "--out", str(tmp_path / "a")] + FAST) == 0
+    assert seen == [None] * 5
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+@pytest.mark.parametrize("knn", ["36", "50"])
+def test_knn_of_n_or_more_exits_2_before_training(dataset, tmp_path, capsys, monkeypatch, command, knn):
+    from icmvc import cli
+
+    monkeypatch.setattr(cli, "train", lambda *args, **kw: pytest.fail("a cell trained"))
+    extra = {"run": ["--eta", "0.3"], "sweep": ["--etas", "0.3", "--seeds", "1,2"], "ablate": ["--eta", "0.3", "--seeds", "1"]}
+    args = [command, "--data", str(dataset), "--out", str(tmp_path / "o")] + FAST + ["--knn", knn] + extra[command]
+    assert main(args) == 2
+    assert "--knn" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # ablate
 

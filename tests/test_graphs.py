@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from icmvc import graphs
+from icmvc.dataio import ViewSet
 from icmvc.errors import ConfigError, DataError, DegenerateGraphError
 from icmvc.graphs import (
     finalize_adjacency,
@@ -14,6 +18,7 @@ from icmvc.graphs import (
     squared_distances,
     transfer_relations,
 )
+from icmvc.trainer import TrainConfig, prepare
 from oracles import (
     loop_knn,
     loop_normalize,
@@ -33,7 +38,7 @@ def quantized(rng, n, d):
 def similarity(x, observed, t):
     """rbf_similarity over the squared distances of the observed rows of x."""
     observed = np.asarray(observed, dtype=bool)
-    return rbf_similarity(squared_distances(x[observed]), observed, t)
+    return rbf_similarity(squared_distances(x[observed]), t)
 
 
 # ---------------------------------------------------------------------------
@@ -59,28 +64,20 @@ def test_squared_distances_blocked_equals_one_shot(monkeypatch):
 def test_rbf_identical_rows():
     x = np.array([[1.0, 2.0], [1.0, 2.0]])
     s = similarity(x, ALL_OBSERVED(2), t=3.7)
-    assert s.values[0, 1] == 1.0
+    assert s[0, 1] == 1.0
 
 
 def test_rbf_unit_distance():
     s = similarity(np.array([[0.0], [1.0]]), ALL_OBSERVED(2), t=1.0)
-    assert abs(s.values[0, 1] - math.exp(-1.0)) < 1e-15
+    assert abs(s[0, 1] - math.exp(-1.0)) < 1e-15
 
 
 def test_rbf_three_points():
     x = np.array([[0.0], [1.0], [3.0]])
     s = similarity(x, ALL_OBSERVED(3), t=2.0)
-    assert abs(s.values[0, 2] - math.exp(-4.5)) < 1e-15
-    assert abs(s.values[1, 2] - math.exp(-2.0)) < 1e-15
-    np.testing.assert_allclose(s.values, s.values.T)
-
-
-def test_rbf_marks_unobserved_invalid():
-    x = np.array([[0.0], [1.0], [2.0]])
-    s = similarity(x, np.array([True, False, True]), t=1.0)
-    assert np.all(s.values[1, :] == -1.0)
-    assert np.all(s.values[:, 1] == -1.0)
-    assert s.values[0, 2] > 0
+    assert abs(s[0, 2] - math.exp(-4.5)) < 1e-15
+    assert abs(s[1, 2] - math.exp(-2.0)) < 1e-15
+    np.testing.assert_allclose(s, s.T)
 
 
 def test_rbf_rejects_bad_bandwidth_and_degenerate_input():
@@ -104,22 +101,22 @@ def test_knn_complete_graph_when_k_exhausts_candidates():
     rng = np.random.default_rng(0)
     x = quantized(rng, 5, 2)
     s = similarity(x, ALL_OBSERVED(5), t=2.0)
-    adj = knn_adjacency(s, k=4)
+    adj = knn_adjacency(s, ALL_OBSERVED(5), k=4).toarray()
     expected = np.ones((5, 5)) - np.eye(5)
     np.testing.assert_array_equal(adj, expected)
 
 
 def test_knn_top1_rows():
     s = similarity(np.zeros((3, 1)), ALL_OBSERVED(3), t=1.0)
-    s.values[:] = [[1.0, 0.9, 0.1], [0.9, 1.0, 0.2], [0.1, 0.2, 1.0]]
-    adj = knn_adjacency(s, k=1)
+    s[:] = [[1.0, 0.9, 0.1], [0.9, 1.0, 0.2], [0.1, 0.2, 1.0]]
+    adj = knn_adjacency(s, ALL_OBSERVED(3), k=1).toarray()
     np.testing.assert_array_equal(adj, [[0, 1, 0], [1, 0, 0], [0, 1, 0]])
 
 
 def test_knn_tie_breaks_to_lower_index():
     s = similarity(np.zeros((3, 1)), ALL_OBSERVED(3), t=1.0)
-    s.values[:] = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]
-    adj = knn_adjacency(s, k=1)
+    s[:] = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]
+    adj = knn_adjacency(s, ALL_OBSERVED(3), k=1).toarray()
     assert adj[0, 1] == 1.0 and adj[0, 2] == 0.0
 
 
@@ -127,7 +124,7 @@ def test_knn_skips_unobserved_candidates():
     x = np.array([[0.0], [0.25], [4.0]])
     observed = np.array([True, False, True])
     s = similarity(x, observed, t=1.0)
-    adj = knn_adjacency(s, k=1)
+    adj = knn_adjacency(s, observed, k=1).toarray()
     # nearest observed neighbor of 0 is 2, despite 1 being closer
     np.testing.assert_array_equal(adj[0], [0, 0, 1])
     np.testing.assert_array_equal(adj[1], [0, 0, 0])
@@ -137,7 +134,36 @@ def test_knn_rejects_out_of_range_k():
     s = similarity(np.zeros((3, 1)), ALL_OBSERVED(3), t=1.0)
     for bad in (0, 3):
         with pytest.raises(ConfigError):
-            knn_adjacency(s, k=bad)
+            knn_adjacency(s, ALL_OBSERVED(3), k=bad)
+
+
+def test_knn_never_links_unobserved_and_only_transfer_fills_their_rows():
+    rng = np.random.default_rng(7)
+    checked = 0
+    for trial in range(30):
+        n, n_views, k = int(rng.integers(6, 15)), int(rng.integers(2, 4)), 2
+        mask = rng.random((n, n_views)) > 0.3
+        mask[~mask.any(axis=1), 0] = True
+        if (mask.sum(axis=0) < k + 1).any():
+            continue
+        raw = [knn_adjacency(similarity(quantized(rng, n, 2), mask[:, v], 2.0), mask[:, v], k) for v in range(n_views)]
+        dense = [a.toarray() for a in raw]
+        for v in range(n_views):
+            unobserved = ~mask[:, v]
+            assert not dense[v][unobserved].any() and not dense[v][:, unobserved].any()
+            np.testing.assert_array_equal(dense[v].sum(axis=1), np.where(mask[:, v], k, 0))
+        for rule in graphs.TRANSFER_RULES:
+            out = [a.toarray() for a in transfer_relations(raw, mask, rule)]
+            for v in range(n_views):
+                observed = mask[:, v]
+                np.testing.assert_array_equal(out[v][observed], dense[v][observed])
+                for i in np.flatnonzero(~observed):
+                    sources = [dense[w][i] for w in np.flatnonzero(mask[i])]
+                    assert (out[v][i] <= np.max(sources, axis=0)).all()
+                    if rule == "copy":
+                        np.testing.assert_array_equal(out[v][i], sources[0])
+        checked += 1
+    assert checked >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +177,7 @@ def test_transfer_full_mask_is_identity():
     for rule in ("copy", "union", "intersection"):
         out = transfer_relations(adjs, mask, rule)
         for v in range(2):
-            np.testing.assert_array_equal(out[v], adjs[v])
+            np.testing.assert_array_equal(out[v].toarray(), adjs[v])
 
 
 def test_transfer_copies_row_from_observed_view():
@@ -161,7 +187,7 @@ def test_transfer_copies_row_from_observed_view():
     a2 = np.zeros((4, 4))
     a2[2] = [1.0, 0.0, 0.0, 1.0]
     out = transfer_relations([a1, a2], mask, "copy")
-    np.testing.assert_array_equal(out[0][2], [1.0, 0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(out[0].toarray()[2], [1.0, 0.0, 0.0, 1.0])
     assert not a1.any()  # the input list is left as it was
 
 
@@ -178,7 +204,7 @@ def test_transfer_union_and_intersection_three_views():
                 [a.tolist() for a in adjs], mask.tolist(), rule
             )
             for v in range(3):
-                np.testing.assert_array_equal(out[v], np.array(expected[v]))
+                np.testing.assert_array_equal(out[v].toarray(), np.array(expected[v]))
 
 
 def test_transfer_rejects_instance_missing_everywhere():
@@ -201,7 +227,7 @@ def test_transfer_rejects_unknown_rule():
 
 
 def _finalized(adj):
-    return finalize_adjacency([adj])[0]
+    return finalize_adjacency([adj])[0].toarray()
 
 
 def test_finalize_symmetric_fixed_point():
@@ -229,17 +255,17 @@ def test_finalize_rejects_isolated_node():
 
 
 def test_normalize_edgeless_gives_identity():
-    np.testing.assert_array_equal(normalize(np.zeros((4, 4))), np.eye(4))
+    np.testing.assert_array_equal(normalize(np.zeros((4, 4))).toarray(), np.eye(4))
 
 
 def test_normalize_single_pair():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(normalize(a), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+    np.testing.assert_allclose(normalize(a).toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_normalize_three_node_path():
     a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    op = normalize(a)
+    op = normalize(a).toarray()
     assert abs(op[0, 1] - 1.0 / math.sqrt(6.0)) < 1e-15
     assert abs(op[1, 1] - 1.0 / 3.0) < 1e-15
 
@@ -247,7 +273,7 @@ def test_normalize_three_node_path():
 def test_normalize_exactly_symmetric():
     rng = np.random.default_rng(3)
     raw = (rng.random((8, 8)) < 0.4).astype(float)
-    op = normalize(_finalized(np.maximum(raw, raw.T)))
+    op = normalize(_finalized(np.maximum(raw, raw.T))).toarray()
     assert np.array_equal(op, op.T)
 
 
@@ -256,7 +282,7 @@ def test_normalize_perron_vector():
     rng = np.random.default_rng(4)
     raw = (rng.random((7, 7)) < 0.5).astype(float)
     adj = _finalized(np.maximum(raw, raw.T))
-    op = normalize(adj)
+    op = normalize(adj).toarray()
     degree = (adj + np.eye(7)).sum(axis=1)
     vec = np.sqrt(degree)
     np.testing.assert_allclose(op @ vec, vec, atol=1e-9)
@@ -270,9 +296,9 @@ def run_pipeline(views, mask, k, t, rule):
     raw = []
     for v in range(mask.shape[1]):
         sim = similarity(views[v], mask[:, v], t)
-        raw.append(knn_adjacency(sim, k))
+        raw.append(knn_adjacency(sim, mask[:, v], k))
     final = finalize_adjacency(transfer_relations(raw, mask, rule))
-    return final, [normalize(a) for a in final]
+    return [a.toarray() for a in final], [normalize(a).toarray() for a in final]
 
 
 def run_loop_pipeline(views, mask, k, t, rule):
@@ -315,3 +341,38 @@ def test_pipeline_matches_loop_oracle():
             np.testing.assert_allclose(got_ops[v], expected_ops[v], atol=1e-12, rtol=0)
         checked += 1
     assert checked >= 30
+
+
+def dense_normalize(adj):
+    """D^-1/2 (A + I) D^-1/2 formed densely; the CSR operator must equal it bit for bit."""
+    tilde = adj + np.eye(adj.shape[0])
+    inv_sqrt = 1.0 / np.sqrt(tilde.sum(axis=1))
+    return tilde * np.outer(inv_sqrt, inv_sqrt)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_views=st.integers(2, 3), rule=st.sampled_from(graphs.TRANSFER_RULES))
+def test_csr_operators_equal_dense_loop_oracle_array_for_array(seed, n_views, rule):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 16))
+    mask = rng.random((n, n_views)) > 0.3
+    mask[~mask.any(axis=1), 0] = True
+    k = min(int(rng.integers(1, 4)), int(mask.sum(axis=0).min()) - 1)
+    assume(k >= 1)
+    views = [quantized(rng, n, int(rng.integers(1, 4))) for _ in range(n_views)]
+    expected_adj, expected_ops = run_loop_pipeline(views, mask, k, 2.0, rule)
+    raw = [knn_adjacency(similarity(views[v], mask[:, v], 2.0), mask[:, v], k) for v in range(n_views)]
+    if expected_adj is None:
+        with pytest.raises(DegenerateGraphError):
+            finalize_adjacency(transfer_relations(raw, mask, rule))
+        return
+    built = [[normalize(a) for a in finalize_adjacency(transfer_relations(raw, mask, rule))]]
+    if rule == "copy":  # the rule prepare() applies
+        built.append(prepare(ViewSet(views), mask, TrainConfig(knn_k=k, bandwidth=2.0))[0])
+    for ops in built:
+        for v in range(n_views):
+            oracle = sparse.csr_matrix(expected_ops[v])
+            np.testing.assert_array_equal(ops[v].indptr, oracle.indptr)
+            np.testing.assert_array_equal(ops[v].indices, oracle.indices)
+            np.testing.assert_allclose(ops[v].data, oracle.data, atol=1e-12, rtol=0)
+            assert ops[v].data.tobytes() == sparse.csr_matrix(dense_normalize(expected_adj[v])).data.tobytes()

@@ -324,7 +324,7 @@ def test_sparse_operators_match_dense_in_values_and_gradients():
 
     params, ops, views = tiny_setup(seed=9, n=12)
     runs = []
-    for operators in (ops, [sparse.csr_matrix(op) for op in ops]):
+    for operators in ([op.toarray() for op in ops], [sparse.csr_matrix(op) for op in ops]):
         emb, asg = net.forward(params, operators, views)
         total, _ = obj.total_loss(emb.projections[0], emb.projections[1], asg.per_view[0], asg.per_view[1], asg.fused)
         nk.backward(total)

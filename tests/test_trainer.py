@@ -54,7 +54,7 @@ def test_prepare_missing_row_matches_loop_construction():
     transferred = loop_transfer(raw, mask.tolist(), "copy")
     for v in range(2):
         expected = np.array(loop_normalize(loop_symmetrize(transferred[v])))
-        np.testing.assert_allclose(ops[v], expected, atol=1e-12)
+        np.testing.assert_allclose(ops[v].toarray(), expected, atol=1e-12)
 
 
 def test_prepare_handles_every_instance_incomplete():
@@ -78,6 +78,19 @@ def test_prepare_memory_does_not_grow_with_n_squared_times_d():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+def test_prepare_memory_grows_with_edges_not_n_squared():
+    # every N x N float64 array would be about 7.6 MiB at N=1000
+    views, _ = synth_blobs(1000, 2, 3, dim=10, noise_sigma=0.5, seed=0)
+    mask = make_mask(1000, 2, eta=0.3, seed=0)
+    tracemalloc.start()
+    try:
+        prepare(views, mask, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
 
 
 # ---------------------------------------------------------------------------
