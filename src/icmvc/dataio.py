@@ -1,7 +1,8 @@
 """Dataset files, observation masks, synthetic blob generation, zero-fill.
 
-A dataset directory holds ``view1.csv .. viewV.csv`` (one instance per row,
-comma-separated decimals, no header), ``labels.csv`` (one integer per line),
+A dataset directory holds ``view1.csv .. viewV.csv``, each index once (one
+instance per row, ASCII decimals separated by commas, no header),
+``labels.csv`` (one integer per line),
 an optional ``mask.csv`` (0/1 per view column), and ``meta.json``. Floats are
 serialized with their shortest round-trip representation, so save followed
 by load is bit-exact.
@@ -65,11 +66,20 @@ def write_matrix(path: Path, matrix: np.ndarray, integer: bool = False):
 
 
 def read_matrix(path: Path) -> np.ndarray:
-    """Parse a headerless CSV of decimals; every cell must be finite."""
+    """Parse a headerless CSV of ASCII decimals; every cell must be finite.
+
+    ``float()`` also takes digit separators (``1_5``) and non-ASCII digits
+    and spaces; a cell holding either is a :class:`ParseError`.
+    """
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path.name}: byte {exc.start} is not UTF-8 text") from None
+    if "_" in text or not text.isascii():
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            for col, cell in enumerate(line.strip().split(","), start=1):
+                if "_" in cell or not cell.isascii():
+                    raise ParseError(f"{path.name}: line {lineno}, column {col}: {cell!r} is not a decimal")
     rows, linenos = [], []
     width = None
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -165,9 +175,12 @@ def load_dataset(path, minmax: bool = False):
     scaling, so placeholder zeros never leak into feature ranges).
     """
     path = Path(path)
-    view_paths = sorted(path.glob("view*.csv"), key=_view_index)
+    view_paths = sorted(path.glob("view*.csv"), key=lambda p: (_view_index(p), p.name))
     if not view_paths:
         raise FormatError(f"{path}: no view files found")
+    if [_view_index(p) for p in view_paths] != list(range(1, len(view_paths) + 1)):
+        names = ", ".join(p.name for p in view_paths)
+        raise FormatError(f"{path}: view files must be numbered 1..V once each, found {names}")
     matrices = [read_matrix(p) for p in view_paths]
     n = matrices[0].shape[0]
     for p, m in zip(view_paths, matrices):

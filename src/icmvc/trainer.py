@@ -8,7 +8,7 @@ treated as a constant within the step. Training needs no pretraining and no
 post-hoc clustering while the clustering term is active; with it ablated
 away, final labels come from k-means on the fused representation.
 
-``prepare()`` builds each view's graph as an edge list and returns the
+``prepare()`` builds each view's graph as sorted edge keys and returns the
 propagation operators as ``scipy.sparse`` CSR matrices, which ``train()``
 propagates through as they are. Only one epoch's tape is alive at a time:
 each epoch drops its references to the tape before the next forward.
@@ -102,12 +102,14 @@ class TrainResult:
 
 def prepare(views: ViewSet, mask: np.ndarray, config: TrainConfig):
     """Graph construction for every view: squared distances (once per view),
-    similarity and KNN among the observed instances, then relation transfer,
-    symmetrization and normalization on edge lists; returns the CSR
-    operators and the zero-filled features."""
+    similarity and KNN among the observed instances, then relation transfer
+    and symmetrization on sorted edge keys ``i * N + j``; ``normalize`` makes
+    each view's keys into its CSR operator, the only sparse matrix built.
+    Returns the operators and the zero-filled features."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (views.n_instances, views.n_views):
         raise DataError(f"mask shape {mask.shape} does not match data")
+    n = views.n_instances
     raw = []
     for v in range(views.n_views):
         observed = mask[:, v]
@@ -115,7 +117,7 @@ def prepare(views: ViewSet, mask: np.ndarray, config: TrainConfig):
         t = config.bandwidth if config.bandwidth is not None else median_bandwidth(d2)
         sim = rbf_similarity(d2, t)
         raw.append(knn_adjacency(sim, observed, config.knn_k))
-    operators = [normalize(a) for a in finalize_adjacency(transfer_relations(raw, mask))]
+    operators = [normalize(key, n) for key in finalize_adjacency(transfer_relations(raw, mask), n)]
     return operators, zero_fill(views, mask)
 
 

@@ -250,6 +250,27 @@ def loop_normalize(adj):
 
 
 # ---------------------------------------------------------------------------
+# edge keys: convert test patterns to and from what the graph steps pass
+
+
+def dense_to_keys(adj) -> np.ndarray:
+    """Sorted int64 edge keys ``i * N + j`` of a dense N x N 0/1 pattern,
+    the form the graph steps pass each other."""
+    n = len(adj)
+    keys = [i * n + j for i in range(n) for j in range(n) if adj[i][j] != 0]
+    return np.array(keys, dtype=np.int64)
+
+
+def keys_to_dense(keys, n: int) -> np.ndarray:
+    """The dense N x N 0/1 pattern whose edges have the given keys."""
+    adj = np.zeros((n, n))
+    for key in keys:
+        i, j = divmod(int(key), n)
+        adj[i, j] = 1.0
+    return adj
+
+
+# ---------------------------------------------------------------------------
 # clustering metrics from first principles
 
 

@@ -24,6 +24,7 @@ from icmvc.graphs import normalize as graph_normalize
 from icmvc.network import forward, init_model
 from icmvc.trainer import TrainConfig, baseline, train
 from oracles import (
+    dense_to_keys,
     exhaustive_accuracy,
     formula_nmi,
     loop_cluster_loss,
@@ -104,7 +105,7 @@ def smooth_fixtures(count, n, n_clusters, hidden, margin=1e-4):
         if (adjacency.sum(axis=1) == 0).any():
             candidate += 1
             continue
-        operators = [graph_normalize(adjacency)] * 2
+        operators = [graph_normalize(dense_to_keys(adjacency), n)] * 2
         views = [rng.normal(size=(n, 4)), rng.normal(size=(n, 5))]
         params = init_model([4, 5], n_clusters, hidden_dim=hidden, embed_dim=8, gcn_layers=2, seed=candidate)
         if relu_margin(params, operators, views) >= margin:

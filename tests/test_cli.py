@@ -105,6 +105,23 @@ def test_run_stray_view_file_exits_3(dataset, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("fault", ["gap", "repeat"])
+@pytest.mark.parametrize("command", ["run", "baseline"])
+def test_view_index_gap_or_repeat_exits_3(dataset, tmp_path, capsys, command, fault):
+    if fault == "gap":  # view1.csv + view3.csv
+        extra = "view3.csv"
+        (dataset / "view2.csv").rename(dataset / extra)
+    else:  # view1.csv + view01.csv + view2.csv: scored as three views before
+        extra = "view01.csv"
+        (dataset / extra).write_text((dataset / "view1.csv").read_text())
+    if command == "baseline":
+        args = ["baseline", "--data", str(dataset), "--kind", "concat", "--eta", "0.3", "--seed", "1"]
+    else:
+        args = ["run", "--data", str(dataset), "--eta", "0.3", "--out", str(tmp_path / "o")] + FAST
+    assert main(args) == 3
+    assert extra in capsys.readouterr().err
+
+
 def test_run_non_finite_cell_exits_3(dataset, tmp_path):
     target = dataset / "view1.csv"
     lines = target.read_text().splitlines()

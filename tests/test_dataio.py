@@ -243,6 +243,36 @@ def test_stray_view_file_is_a_format_error(tmp_path, name):
         dataio.load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "names", [("view1.csv", "view3.csv"), ("view2.csv", "view3.csv"), ("view1.csv", "view01.csv", "view2.csv")]
+)
+def test_view_indices_other_than_one_to_v_are_a_format_error(tmp_path, names):
+    views = dataio.ViewSet([np.arange(8.0).reshape(4, 2) + v for v in range(len(names))])
+    dataio.save_dataset(tmp_path, views, labels=np.zeros(4))
+    for v, name in enumerate(names, start=1):
+        (tmp_path / f"view{v}.csv").rename(tmp_path / f"tmp{v}")
+    for v, name in enumerate(names, start=1):
+        (tmp_path / f"tmp{v}").rename(tmp_path / name)
+    with pytest.raises(FormatError, match=r"numbered 1\.\.V once each") as raised:
+        dataio.load_dataset(tmp_path)
+    for name in names:
+        assert name in str(raised.value)
+
+
+@pytest.mark.parametrize("cell", ["1_5", "1_000.25", "1e1_0", "\uff11", "\u0661\u0662", "1.5\u2009", "\u00a01.5"])
+def test_cell_float_takes_but_csv_does_not_is_a_parse_error(tmp_path, cell):
+    float(cell)  # Python would read every one of them
+    dataio.save_dataset(tmp_path, toy_views(), labels=np.zeros(4))
+    target = tmp_path / "view2.csv"
+    lines = target.read_text().strip().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = cell
+    lines[2] = ",".join(cells)
+    target.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="view2.csv: line 3, column 2"):
+        dataio.load_dataset(tmp_path)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
 def test_non_finite_cell_is_a_parse_error(tmp_path, cell):
     dataio.save_dataset(tmp_path, toy_views(), labels=np.zeros(4))

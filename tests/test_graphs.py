@@ -20,6 +20,8 @@ from icmvc.graphs import (
 )
 from icmvc.trainer import TrainConfig, prepare
 from oracles import (
+    dense_to_keys,
+    keys_to_dense,
     loop_knn,
     loop_normalize,
     loop_rbf,
@@ -93,6 +95,18 @@ def test_median_bandwidth_positive_on_duplicates():
     assert median_bandwidth(squared_distances(x)) == 1.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9, 30, 31, 33])  # pair counts n(n-1)/2 odd and even
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_median_bandwidth_equals_np_median_of_upper_triangle(n, duplicates):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 3)) * 1.7  # not quantized: the averaged middle pair rounds
+    if duplicates:
+        x[rng.integers(0, n, size=n // 2)] = x[0]
+    d2 = squared_distances(x)
+    expected = float(np.median(d2[np.triu_indices(n, 1)]))
+    assert median_bandwidth(d2) == (expected if expected > 0 else 1.0)
+
+
 # ---------------------------------------------------------------------------
 # knn_adjacency
 
@@ -101,7 +115,7 @@ def test_knn_complete_graph_when_k_exhausts_candidates():
     rng = np.random.default_rng(0)
     x = quantized(rng, 5, 2)
     s = similarity(x, ALL_OBSERVED(5), t=2.0)
-    adj = knn_adjacency(s, ALL_OBSERVED(5), k=4).toarray()
+    adj = keys_to_dense(knn_adjacency(s, ALL_OBSERVED(5), k=4), 5)
     expected = np.ones((5, 5)) - np.eye(5)
     np.testing.assert_array_equal(adj, expected)
 
@@ -109,14 +123,14 @@ def test_knn_complete_graph_when_k_exhausts_candidates():
 def test_knn_top1_rows():
     s = similarity(np.zeros((3, 1)), ALL_OBSERVED(3), t=1.0)
     s[:] = [[1.0, 0.9, 0.1], [0.9, 1.0, 0.2], [0.1, 0.2, 1.0]]
-    adj = knn_adjacency(s, ALL_OBSERVED(3), k=1).toarray()
+    adj = keys_to_dense(knn_adjacency(s, ALL_OBSERVED(3), k=1), 3)
     np.testing.assert_array_equal(adj, [[0, 1, 0], [1, 0, 0], [0, 1, 0]])
 
 
 def test_knn_tie_breaks_to_lower_index():
     s = similarity(np.zeros((3, 1)), ALL_OBSERVED(3), t=1.0)
     s[:] = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]
-    adj = knn_adjacency(s, ALL_OBSERVED(3), k=1).toarray()
+    adj = keys_to_dense(knn_adjacency(s, ALL_OBSERVED(3), k=1), 3)
     assert adj[0, 1] == 1.0 and adj[0, 2] == 0.0
 
 
@@ -124,10 +138,28 @@ def test_knn_skips_unobserved_candidates():
     x = np.array([[0.0], [0.25], [4.0]])
     observed = np.array([True, False, True])
     s = similarity(x, observed, t=1.0)
-    adj = knn_adjacency(s, observed, k=1).toarray()
+    adj = keys_to_dense(knn_adjacency(s, observed, k=1), 3)
     # nearest observed neighbor of 0 is 2, despite 1 being closer
     np.testing.assert_array_equal(adj[0], [0, 0, 1])
     np.testing.assert_array_equal(adj[1], [0, 0, 0])
+
+
+def test_knn_block_mixing_surplus_ties_and_plain_rows_matches_loop():
+    rng = np.random.default_rng(8)
+    n, k = 40, 4
+    x = rng.integers(-40, 41, size=(n, 2)).astype(np.float64) * 0.25
+    x[5:12] = x[5]  # seven duplicate points: six neighbors tie at similarity 1
+    x[20:22] = x[20]
+    observed = np.ones(n, dtype=bool)
+    observed[[3, 17, 30]] = False
+    s = similarity(x, observed, 3.0)
+    # rows whose k-th largest similarity is shared by more entries than
+    # slots left for it, and rows where it is not
+    ranked = np.sort(np.where(np.eye(len(s), dtype=bool), -np.inf, s), axis=1)[:, ::-1]
+    surplus = (ranked >= ranked[:, [k - 1]]).sum(axis=1) > k
+    assert surplus.any() and not surplus.all()
+    expected = loop_knn(loop_rbf(x.tolist(), observed.tolist(), 3.0), observed.tolist(), k)
+    np.testing.assert_array_equal(keys_to_dense(knn_adjacency(s, observed, k), n), expected)
 
 
 def test_knn_rejects_out_of_range_k():
@@ -147,13 +179,13 @@ def test_knn_never_links_unobserved_and_only_transfer_fills_their_rows():
         if (mask.sum(axis=0) < k + 1).any():
             continue
         raw = [knn_adjacency(similarity(quantized(rng, n, 2), mask[:, v], 2.0), mask[:, v], k) for v in range(n_views)]
-        dense = [a.toarray() for a in raw]
+        dense = [keys_to_dense(a, n) for a in raw]
         for v in range(n_views):
             unobserved = ~mask[:, v]
             assert not dense[v][unobserved].any() and not dense[v][:, unobserved].any()
             np.testing.assert_array_equal(dense[v].sum(axis=1), np.where(mask[:, v], k, 0))
         for rule in graphs.TRANSFER_RULES:
-            out = [a.toarray() for a in transfer_relations(raw, mask, rule)]
+            out = [keys_to_dense(a, n) for a in transfer_relations(raw, mask, rule)]
             for v in range(n_views):
                 observed = mask[:, v]
                 np.testing.assert_array_equal(out[v][observed], dense[v][observed])
@@ -175,9 +207,9 @@ def test_transfer_full_mask_is_identity():
     mask = np.ones((5, 2), dtype=bool)
     adjs = [(rng.random((5, 5)) < 0.4).astype(float) for _ in range(2)]
     for rule in ("copy", "union", "intersection"):
-        out = transfer_relations(adjs, mask, rule)
+        out = transfer_relations([dense_to_keys(a) for a in adjs], mask, rule)
         for v in range(2):
-            np.testing.assert_array_equal(out[v].toarray(), adjs[v])
+            np.testing.assert_array_equal(keys_to_dense(out[v], 5), adjs[v])
 
 
 def test_transfer_copies_row_from_observed_view():
@@ -186,9 +218,11 @@ def test_transfer_copies_row_from_observed_view():
     a1 = np.zeros((4, 4))
     a2 = np.zeros((4, 4))
     a2[2] = [1.0, 0.0, 0.0, 1.0]
-    out = transfer_relations([a1, a2], mask, "copy")
-    np.testing.assert_array_equal(out[0].toarray()[2], [1.0, 0.0, 0.0, 1.0])
-    assert not a1.any()  # the input list is left as it was
+    keys = [dense_to_keys(a1), dense_to_keys(a2)]
+    out = transfer_relations(keys, mask, "copy")
+    np.testing.assert_array_equal(keys_to_dense(out[0], 4)[2], [1.0, 0.0, 0.0, 1.0])
+    assert keys[0].size == 0  # the input list is left as it was
+    np.testing.assert_array_equal(keys[1], [8, 11])
 
 
 def test_transfer_union_and_intersection_three_views():
@@ -199,25 +233,25 @@ def test_transfer_union_and_intersection_three_views():
         mask[~mask.any(axis=1), 0] = True
         adjs = [(rng.random((n, n)) < 0.35).astype(float) for _ in range(3)]
         for rule in ("copy", "union", "intersection"):
-            out = transfer_relations(adjs, mask, rule)
+            out = transfer_relations([dense_to_keys(a) for a in adjs], mask, rule)
             expected = loop_transfer(
                 [a.tolist() for a in adjs], mask.tolist(), rule
             )
             for v in range(3):
-                np.testing.assert_array_equal(out[v].toarray(), np.array(expected[v]))
+                np.testing.assert_array_equal(keys_to_dense(out[v], n), np.array(expected[v]))
 
 
 def test_transfer_rejects_instance_missing_everywhere():
     mask = np.ones((3, 2), dtype=bool)
     mask[1] = False
-    adjs = [np.zeros((3, 3)) for _ in range(2)]
+    adjs = [dense_to_keys(np.zeros((3, 3))) for _ in range(2)]
     with pytest.raises(DataError):
         transfer_relations(adjs, mask, "copy")
 
 
 def test_transfer_rejects_unknown_rule():
     mask = np.ones((3, 2), dtype=bool)
-    adjs = [np.zeros((3, 3)) for _ in range(2)]
+    adjs = [dense_to_keys(np.zeros((3, 3))) for _ in range(2)]
     with pytest.raises(ConfigError):
         transfer_relations(adjs, mask, "xor")
 
@@ -227,7 +261,12 @@ def test_transfer_rejects_unknown_rule():
 
 
 def _finalized(adj):
-    return finalize_adjacency([adj])[0].toarray()
+    n = len(adj)
+    return keys_to_dense(finalize_adjacency([dense_to_keys(adj)], n)[0], n)
+
+
+def _normalized(adj):
+    return normalize(dense_to_keys(adj), len(adj)).toarray()
 
 
 def test_finalize_symmetric_fixed_point():
@@ -255,17 +294,17 @@ def test_finalize_rejects_isolated_node():
 
 
 def test_normalize_edgeless_gives_identity():
-    np.testing.assert_array_equal(normalize(np.zeros((4, 4))).toarray(), np.eye(4))
+    np.testing.assert_array_equal(_normalized(np.zeros((4, 4))), np.eye(4))
 
 
 def test_normalize_single_pair():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(normalize(a).toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+    np.testing.assert_allclose(_normalized(a), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_normalize_three_node_path():
     a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    op = normalize(a).toarray()
+    op = _normalized(a)
     assert abs(op[0, 1] - 1.0 / math.sqrt(6.0)) < 1e-15
     assert abs(op[1, 1] - 1.0 / 3.0) < 1e-15
 
@@ -273,7 +312,7 @@ def test_normalize_three_node_path():
 def test_normalize_exactly_symmetric():
     rng = np.random.default_rng(3)
     raw = (rng.random((8, 8)) < 0.4).astype(float)
-    op = normalize(_finalized(np.maximum(raw, raw.T))).toarray()
+    op = _normalized(_finalized(np.maximum(raw, raw.T)))
     assert np.array_equal(op, op.T)
 
 
@@ -282,7 +321,7 @@ def test_normalize_perron_vector():
     rng = np.random.default_rng(4)
     raw = (rng.random((7, 7)) < 0.5).astype(float)
     adj = _finalized(np.maximum(raw, raw.T))
-    op = normalize(adj).toarray()
+    op = _normalized(adj)
     degree = (adj + np.eye(7)).sum(axis=1)
     vec = np.sqrt(degree)
     np.testing.assert_allclose(op @ vec, vec, atol=1e-9)
@@ -297,8 +336,9 @@ def run_pipeline(views, mask, k, t, rule):
     for v in range(mask.shape[1]):
         sim = similarity(views[v], mask[:, v], t)
         raw.append(knn_adjacency(sim, mask[:, v], k))
-    final = finalize_adjacency(transfer_relations(raw, mask, rule))
-    return [a.toarray() for a in final], [normalize(a).toarray() for a in final]
+    n = mask.shape[0]
+    final = finalize_adjacency(transfer_relations(raw, mask, rule), n)
+    return [keys_to_dense(a, n) for a in final], [normalize(a, n).toarray() for a in final]
 
 
 def run_loop_pipeline(views, mask, k, t, rule):
@@ -364,9 +404,9 @@ def test_csr_operators_equal_dense_loop_oracle_array_for_array(seed, n_views, ru
     raw = [knn_adjacency(similarity(views[v], mask[:, v], 2.0), mask[:, v], k) for v in range(n_views)]
     if expected_adj is None:
         with pytest.raises(DegenerateGraphError):
-            finalize_adjacency(transfer_relations(raw, mask, rule))
+            finalize_adjacency(transfer_relations(raw, mask, rule), n)
         return
-    built = [[normalize(a) for a in finalize_adjacency(transfer_relations(raw, mask, rule))]]
+    built = [[normalize(a, n) for a in finalize_adjacency(transfer_relations(raw, mask, rule), n)]]
     if rule == "copy":  # the rule prepare() applies
         built.append(prepare(ViewSet(views), mask, TrainConfig(knn_k=k, bandwidth=2.0))[0])
     for ops in built:
@@ -376,3 +416,23 @@ def test_csr_operators_equal_dense_loop_oracle_array_for_array(seed, n_views, ru
             np.testing.assert_array_equal(ops[v].indices, oracle.indices)
             np.testing.assert_allclose(ops[v].data, oracle.data, atol=1e-12, rtol=0)
             assert ops[v].data.tobytes() == sparse.csr_matrix(dense_normalize(expected_adj[v])).data.tobytes()
+
+
+def test_prepare_builds_one_csr_matrix_per_view(monkeypatch):
+    built = []
+    csr_matrix = sparse.csr_matrix
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return csr_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(graphs.sparse, "csr_matrix", counted)
+    rng = np.random.default_rng(9)
+    n = 30
+    for n_views in (2, 3):
+        built.clear()
+        views = ViewSet([rng.normal(size=(n, 3)) for _ in range(n_views)])
+        mask = np.ones((n, n_views), dtype=bool)
+        mask[np.arange(0, n, 4), np.arange(0, n, 4) % n_views] = False
+        operators, _ = prepare(views, mask, TrainConfig(knn_k=4))
+        assert len(built) == n_views == len(operators)

@@ -7,7 +7,7 @@ from scipy import sparse
 from icmvc import network as net
 from icmvc import numkit as nk
 from icmvc.errors import ConfigError, ShapeError
-from oracles import numeric_gradient, relative_error
+from oracles import dense_to_keys, numeric_gradient, relative_error
 
 
 def scalar(node):
@@ -59,7 +59,7 @@ def test_missing_row_filled_from_neighbor():
     adjacency = np.array([[0.0, 1.0], [1.0, 0.0]])
     from icmvc.graphs import normalize
 
-    op = normalize(adjacency)
+    op = normalize(dense_to_keys(adjacency), 2)
     x = np.array([[0.0, 0.0], [1.0, 2.0]])
     w = np.array([[1.0, 0.0], [0.0, 1.0]])
     out = net.encode_view(nk.constant(x), op, [nk.leaf(w)])
@@ -96,7 +96,7 @@ def test_encode_view_matches_straight_line_reimplementation():
         ],
         dtype=float,
     )
-    op = normalize(adjacency)
+    op = normalize(dense_to_keys(adjacency), 4)
     x = rng.normal(size=(4, 3))
     weights = [rng.normal(size=(3, 5)), rng.normal(size=(5, 5))]
     out = net.encode_view(nk.constant(x), op, [nk.leaf(w) for w in weights])
@@ -255,7 +255,7 @@ def tiny_setup(seed=0, n=6, n_clusters=3, hidden=8, embed=4):
     raw = (rng.random((n, n)) < 0.5).astype(float)
     adjacency = np.maximum(raw, raw.T)
     np.fill_diagonal(adjacency, 0.0)
-    ops = [normalize(adjacency) for _ in range(2)]
+    ops = [normalize(dense_to_keys(adjacency), n) for _ in range(2)]
     views = [rng.normal(size=(n, 3)), rng.normal(size=(n, 5))]
     params = net.init_model([3, 5], n_clusters, hidden_dim=hidden, embed_dim=embed, gcn_layers=2, seed=seed)
     return params, ops, views

@@ -6,7 +6,7 @@ from scipy import sparse
 
 from icmvc import numkit as nk
 from icmvc.errors import ConfigError, ContractError, ShapeError
-from oracles import exhaustive_backward, numeric_gradient, relative_error
+from oracles import dense_to_keys, exhaustive_backward, numeric_gradient, relative_error
 
 
 def scalar(node):
@@ -255,7 +255,7 @@ def test_backward_matches_exhaustive_sweep_on_full_model(mode, include_self):
         raw = (rng.random((n, n)) < 0.4).astype(float)
         adjacency = np.maximum(raw, raw.T)
         np.fill_diagonal(adjacency, 0.0)
-        ops.append(normalize(adjacency))
+        ops.append(normalize(dense_to_keys(adjacency), n))
     params = net.init_model([3, 5], 3, hidden_dim=16, embed_dim=8, gcn_layers=2, seed=13)
     emb, asg = net.forward(params, ops, views)
     total, _ = obj.total_loss(

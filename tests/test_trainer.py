@@ -7,7 +7,6 @@ import pytest
 from icmvc import trainer
 from icmvc.dataio import ViewSet, make_mask, synth_blobs
 from icmvc.errors import ConfigError, DivergenceError
-from icmvc.graphs import normalize
 from icmvc.trainer import TrainConfig, baseline, kmeans, prepare, train
 from oracles import loop_knn, loop_normalize, loop_rbf, loop_symmetrize, loop_transfer
 
