@@ -10,6 +10,7 @@ problems, 4 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -244,7 +245,9 @@ def cmd_run(args) -> int:
     if args.save_model:
         save_checkpoint(result.params, out_dir / "checkpoint", config=asdict(config))
     manifest_config = dict(asdict(config), eta=eta, mask_source=mask_source, data=str(args.data), scale=not args.no_scale)
-    _write_manifest(out_dir, "run", manifest_config, {"wall_time_s": round(result.wall_time, 3)})
+    _write_manifest(
+        out_dir, "run", manifest_config, {"wall_time_s": round(result.wall_time, 3), "blas_threads": _blas_threads()}
+    )
     print(f"acc={report.acc:.6f} nmi={report.nmi:.6f} ari={report.ari:.6f}")
     return EXIT_OK
 
@@ -271,20 +274,104 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _grid_cell(views, labels, n_clusters, stored_mask, eta, config):
+def _grid_cell(views, labels, n_clusters, masks, eta, config):
     """Train one sweep or ablation cell; returns (status, final metrics).
 
     A library error during training fails only this cell, so the rest of
-    the grid still runs. A missing mask is a configuration problem of the
-    whole grid and propagates.
+    the grid still runs.
     """
-    mask, _ = _mask_for(views, stored_mask, eta, config.seed)
     try:
-        result = train(views, mask, n_clusters, config)  # no per-epoch scores: nothing reads them
+        result = train(views, masks[eta, config.seed], n_clusters, config)  # no per-epoch scores: nothing reads them
         report = evaluate(result.labels, labels)
     except IcmvcError as exc:
         return f"error:{type(exc).__name__}", None
     return "ok", report
+
+
+def _openblas(action: str):
+    """The ``openblas_<action>_num_threads`` entry point ("get" or "set") of
+    the OpenBLAS that numpy loaded, or None when there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in (f"scipy_openblas_{action}_num_threads64_", f"openblas_{action}_num_threads64_",
+                       f"openblas_{action}_num_threads"):
+            entry = getattr(lib, symbol, None)
+            if entry is not None:
+                entry.argtypes, entry.restype = ([], ctypes.c_int) if action == "get" else ([ctypes.c_int], None)
+                return entry
+    return None
+
+
+def _blas_threads():
+    get = _openblas("get")
+    return get() if get else None
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_worker_data = None  # a grid worker's dataset and masks, set once by _start_worker
+
+
+def _start_worker(data, set_threads, threads):
+    global _worker_data
+    _worker_data = data
+    set_threads(threads)
+
+
+def _worker_cell(task):
+    return _grid_cell(*_worker_data, *task)
+
+
+def _run_grid(views, labels, n_clusters, stored_mask, tasks):
+    """Train the ``(eta, config)`` cells of a grid; returns their (status,
+    report) pairs in grid order and the workers and BLAS threads they used.
+
+    Every mask is built before any cell trains, so a rate no cell can use
+    stops the grid first. With more than one usable core, the cells run in
+    forked workers that inherit the dataset and pin OpenBLAS to their share
+    of the cores; a worker that dies fails the cells it left unfinished.
+    Without ``fork`` or a way to set OpenBLAS's threads (whose own pool
+    would then compete with the other workers), the cells run here in turn.
+    """
+    # imported here: `run`, and callers that never start a grid, then load
+    # no multiprocessing modules (a dozen, about 0.4 MiB of RSS)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    masks = {(eta, config.seed): _mask_for(views, stored_mask, eta, config.seed)[0] for eta, config in tasks}
+    data = (views, labels, n_clusters, masks)
+    cores = _usable_cores()
+    workers = min(len(tasks), cores)
+    set_threads = _openblas("set") if workers > 1 and "fork" in multiprocessing.get_all_start_methods() else None
+    if set_threads is None:
+        return [_grid_cell(*data, *task) for task in tasks], {"workers": 1, "blas_threads": _blas_threads()}
+    threads = max(1, cores // workers)
+    # fork, not spawn: the workers share the parent's arrays instead of a
+    # pickled copy and skip a fresh interpreter's imports; OpenBLAS stops its
+    # own threads around a fork
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (data, set_threads, threads))
+    try:
+        futures = [pool.submit(_worker_cell, task) for task in tasks]
+        outcomes = []
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool:  # a worker died: this cell was left unfinished
+                outcomes.append(("error:BrokenProcessPool", None))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return outcomes, {"workers": workers, "blas_threads": threads}
 
 
 def _aggregate(cells):
@@ -331,17 +418,19 @@ def cmd_sweep(args) -> int:
     views, labels, _, n_clusters = _load_for_run(args.data, not args.no_scale, config)
     etas = _parse_list(args.etas, "--etas", float) if args.etas else list(DEFAULT_ETAS)
     seeds = _parse_seeds(args.seeds)
-    cells = []
-    for eta in etas:
-        for seed in seeds:
-            status, report = _grid_cell(views, labels, n_clusters, None, eta, replace(config, seed=seed))
-            scores = {k: getattr(report, k, None) for k in ("acc", "nmi", "ari")}
-            cells.append({"eta": eta, "seed": seed, "status": status, **scores})
+    grid = [(eta, seed) for eta in etas for seed in seeds]
+    outcomes, parallelism = _run_grid(
+        views, labels, n_clusters, None, [(eta, replace(config, seed=seed)) for eta, seed in grid]
+    )
+    cells = [
+        {"eta": eta, "seed": seed, "status": status, **{k: getattr(report, k, None) for k in ("acc", "nmi", "ari")}}
+        for (eta, seed), (status, report) in zip(grid, outcomes)
+    ]
     aggregates = _aggregate(cells)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "sweep.csv", _sweep_csv(cells, aggregates))
-    _write_manifest(out_dir, "sweep", dict(asdict(config), etas=etas, seeds=seeds, data=str(args.data)))
+    _write_manifest(out_dir, "sweep", dict(asdict(config), etas=etas, seeds=seeds, data=str(args.data)), parallelism)
     failed = [c for c in cells if c["status"] != "ok"]
     for agg in aggregates:
         mean = "n/a" if agg["acc_mean"] is None else f"{agg['acc_mean']:.4f}"
@@ -358,11 +447,9 @@ def cmd_ablate(args) -> int:
     views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, base)
     eta = resolve_eta(args, file_values)
     seeds = _parse_seeds(args.seeds)
-    outcomes = [
-        (mode, _grid_cell(views, labels, n_clusters, stored_mask, eta, replace(base, seed=seed, **flags))[1])
-        for mode, flags in ABLATION_MODES.items()
-        for seed in seeds
-    ]
+    grid = [(mode, replace(base, seed=seed, **flags)) for mode, flags in ABLATION_MODES.items() for seed in seeds]
+    results, parallelism = _run_grid(views, labels, n_clusters, stored_mask, [(eta, config) for _, config in grid])
+    outcomes = [(mode, report) for (mode, _), (_, report) in zip(grid, results)]
     rows = []
     per_mode_acc = {}
     failed = sum(1 for _, report in outcomes if report is None)
@@ -392,7 +479,7 @@ def cmd_ablate(args) -> int:
             )
         )
     _atomic_write(out_dir / "ablation.csv", "\n".join(lines) + "\n")
-    _write_manifest(out_dir, "ablate", dict(asdict(base), eta=eta, seeds=seeds, data=str(args.data)))
+    _write_manifest(out_dir, "ablate", dict(asdict(base), eta=eta, seeds=seeds, data=str(args.data)), parallelism)
     for row in rows:
         print(f"{row['config']:14s} acc={row['acc_mean']:.4f}+-{row['acc_std']:.4f}")
     if "full" in per_mode_acc and "no-ins" in per_mode_acc:

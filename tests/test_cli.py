@@ -1,5 +1,7 @@
 import argparse
 import json
+import multiprocessing
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from icmvc import cli
 from icmvc.cli import _add_train_flags, main
 from icmvc.trainer import TrainConfig
 
@@ -70,7 +73,8 @@ def test_run_outputs_and_metric_keys(dataset, tmp_path):
     assert set(payload) >= {"acc", "nmi", "ari"}
     assert (out / "history.csv").exists()
     assert (out / "labels.csv").exists()
-    assert (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["blas_threads"] == cli._blas_threads()
     labels = (out / "labels.csv").read_text().strip().splitlines()
     assert len(labels) == 36
 
@@ -354,21 +358,79 @@ def test_sweep_rerun_byte_identical_in_grid_order(dataset, tmp_path):
 
 
 def test_grid_cells_train_without_per_epoch_scores(dataset, tmp_path, monkeypatch):
-    from icmvc import cli
-
-    seen = []
+    # calls are logged to a file, which forked grid workers append to as well
+    log = tmp_path / "train-calls"
     real_train = cli.train
-    monkeypatch.setattr(cli, "train", lambda *args, **kw: seen.append(kw.get("labels")) or real_train(*args, **kw))
+
+    def train(*args, **kw):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{kw.get('labels')}\n")
+        return real_train(*args, **kw)
+
+    monkeypatch.setattr(cli, "train", train)
     assert main(["sweep", "--data", str(dataset), "--etas", "0.3", "--seeds", "1", "--out", str(tmp_path / "s")] + FAST) == 0
     assert main(["ablate", "--data", str(dataset), "--eta", "0.3", "--seeds", "1", "--out", str(tmp_path / "a")] + FAST) == 0
-    assert seen == [None] * 5
+    assert log.read_text().splitlines() == ["None"] * 5
+
+
+def test_sweep_checks_every_rate_before_training(dataset, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "train", lambda *args, **kw: pytest.fail("a cell trained"))
+    args = ["sweep", "--data", str(dataset), "--out", str(tmp_path / "o"), "--etas", "0.3,1.5", "--seeds", "1"] + FAST
+    assert main(args) == 2
+    assert "1.5" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+@pytest.fixture()
+def worker_path(monkeypatch):
+    """Two usable cores, so that a grid of two or more cells runs in forked workers."""
+    if "fork" not in multiprocessing.get_all_start_methods() or cli._openblas("set") is None:
+        pytest.skip("grid cells run in-process here: no fork start method or no OpenBLAS thread setter")
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+
+
+def test_dead_worker_fails_its_cells_and_exits_1(dataset, tmp_path, capsys, monkeypatch, worker_path):
+    test_process = os.getpid()
+    real_train = cli.train
+
+    def train(views, mask, n_clusters, config, **kw):
+        if config.seed == 2:
+            if os.getpid() == test_process:
+                pytest.fail("a cell trained in the test process")
+            os._exit(9)
+        return real_train(views, mask, n_clusters, config, **kw)
+
+    monkeypatch.setattr(cli, "train", train)
+    out = tmp_path / "s"
+    rc = main(["sweep", "--data", str(dataset), "--out", str(out), "--etas", "0.3,0", "--seeds", "1,2"] + FAST)
+    assert rc == 1
+    assert "Traceback" not in capsys.readouterr().err
+    _, rows = read_csv_rows(out / "sweep.csv")
+    statuses = {(r["eta"], r["seed"]): r["status"] for r in rows if r["row_type"] == "cell"}
+    assert statuses[("0.3", "2")] == statuses[("0.0", "2")] == "error:BrokenProcessPool"
+    assert set(statuses.values()) <= {"ok", "error:BrokenProcessPool"}
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_and_in_process_grids_write_identical_files(dataset, tmp_path, monkeypatch, worker_path):
+    commands = {
+        "sweep.csv": ["sweep", "--data", str(dataset), "--etas", "0.3,0", "--seeds", "2,1"] + FAST,
+        "ablation.csv": ["ablate", "--data", str(dataset), "--eta", "0.3", "--seeds", "1,2"] + FAST,
+    }
+    for name, cmd in commands.items():
+        assert main(cmd + ["--out", str(tmp_path / "workers")]) == 0
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+        assert main(cmd + ["--out", str(tmp_path / "serial")]) == 0
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        assert (tmp_path / "workers" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+        manifests = [json.loads((tmp_path / side / "manifest.json").read_text()) for side in ("workers", "serial")]
+        assert [(m["workers"], m["blas_threads"]) for m in manifests] == [(2, 1), (1, cli._blas_threads())]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
 @pytest.mark.parametrize("knn", ["36", "50"])
 def test_knn_of_n_or_more_exits_2_before_training(dataset, tmp_path, capsys, monkeypatch, command, knn):
-    from icmvc import cli
-
     monkeypatch.setattr(cli, "train", lambda *args, **kw: pytest.fail("a cell trained"))
     extra = {"run": ["--eta", "0.3"], "sweep": ["--etas", "0.3", "--seeds", "1,2"], "ablate": ["--eta", "0.3", "--seeds", "1"]}
     args = [command, "--data", str(dataset), "--out", str(tmp_path / "o")] + FAST + ["--knn", knn] + extra[command]
