@@ -37,8 +37,8 @@ DEFAULT_ETAS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_SWEEP_SEEDS = (0, 1, 2, 3, 4)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x: float | None) -> str:
+    return "" if x is None else repr(float(x))  # None: a blank CSV cell
 
 
 def _atomic_write(path: Path, text: str):
@@ -374,71 +374,58 @@ def _run_grid(views, labels, n_clusters, stored_mask, tasks):
     return outcomes, {"workers": workers, "blas_threads": threads}
 
 
-def _aggregate(cells):
-    by_eta = {}
-    for cell in cells:
-        by_eta.setdefault(cell["eta"], []).append(cell)
-    rows = []
-    for eta in sorted(by_eta):
-        ok = [c for c in by_eta[eta] if c["status"] == "ok"]
-        agg = {"eta": eta, "n_ok": len(ok)}
-        for key in ("acc", "nmi", "ari"):
-            values = np.array([c[key] for c in ok]) if ok else np.array([])
-            agg[f"{key}_mean"] = float(values.mean()) if values.size else None
-            agg[f"{key}_std"] = float(values.std()) if values.size else None
-        rows.append(agg)
-    return rows
+def _summaries(keys, outcomes, order):
+    """Per group of grid cells, in ``order``: the group's key, how many of
+    its cells finished, and the mean and population std of acc, nmi and ari
+    over those (six Nones when none finished). ``keys`` names each cell's
+    group, in grid order."""
+    for group in order:
+        done = [report for key, (_, report) in zip(keys, outcomes) if key == group and report is not None]
+        stats = []
+        for score in ("acc", "nmi", "ari"):
+            values = np.array([getattr(report, score) for report in done])
+            stats += [float(values.mean()), float(values.std())] if done else [None, None]
+        yield group, len(done), stats
 
 
-def _sweep_csv(cells, aggregates) -> str:
-    header = "row_type,eta,seed,status,acc,nmi,ari,acc_mean,acc_std,nmi_mean,nmi_std,ari_mean,ari_std"
-    lines = [header]
-    blank = lambda v: "" if v is None else _fmt(v)
-    for cell in cells:
-        lines.append(
-            ",".join(
-                ["cell", _fmt(cell["eta"]), str(cell["seed"]), cell["status"],
-                 blank(cell["acc"]), blank(cell["nmi"]), blank(cell["ari"]), "", "", "", "", "", ""]
-            )
-        )
-    for agg in aggregates:
-        lines.append(
-            ",".join(
-                ["aggregate", _fmt(agg["eta"]), "", f"ok={agg['n_ok']}", "", "", "",
-                 blank(agg["acc_mean"]), blank(agg["acc_std"]),
-                 blank(agg["nmi_mean"]), blank(agg["nmi_std"]),
-                 blank(agg["ari_mean"]), blank(agg["ari_std"])]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _finish_grid(args, command, csv_name, csv_lines, manifest_config, parallelism, outcomes, summary, failure) -> int:
+    """Write a grid's CSV and manifest.json and print its ``summary`` lines;
+    when a cell failed, print the count and ``failure`` ("cells failed") to
+    stderr and exit 1."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _atomic_write(out_dir / csv_name, "\n".join(csv_lines) + "\n")
+    _write_manifest(out_dir, command, dict(manifest_config, data=str(args.data)), parallelism)
+    for line in summary:
+        print(line)
+    n_failed = sum(report is None for _, report in outcomes)
+    if n_failed:
+        print(f"{n_failed} {failure}", file=sys.stderr)
+        return 1
+    return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     config = build_config(args)
-    views, labels, _, n_clusters = _load_for_run(args.data, not args.no_scale, config)
+    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, config)
+    if stored_mask is not None:
+        raise ConfigError(f"{args.data} has a mask.csv: sweep sets the missing rates itself, from --etas")
     etas = _parse_list(args.etas, "--etas", float) if args.etas else list(DEFAULT_ETAS)
     seeds = _parse_seeds(args.seeds)
-    grid = [(eta, seed) for eta in etas for seed in seeds]
-    outcomes, parallelism = _run_grid(
-        views, labels, n_clusters, None, [(eta, replace(config, seed=seed)) for eta, seed in grid]
+    grid = [(eta, replace(config, seed=seed)) for eta in etas for seed in seeds]
+    outcomes, parallelism = _run_grid(views, labels, n_clusters, None, grid)
+    lines = ["row_type,eta,seed,status,acc,nmi,ari,acc_mean,acc_std,nmi_mean,nmi_std,ari_mean,ari_std"]
+    for (eta, cell), (status, report) in zip(grid, outcomes):
+        scores = [_fmt(getattr(report, k, None)) for k in ("acc", "nmi", "ari")]
+        lines.append(",".join(["cell", _fmt(eta), str(cell.seed), status] + scores + [""] * 6))
+    summary = []
+    for eta, n_ok, stats in _summaries([eta for eta, _ in grid], outcomes, sorted(set(etas))):
+        lines.append(",".join(["aggregate", _fmt(eta), "", f"ok={n_ok}", "", "", ""] + [_fmt(v) for v in stats]))
+        summary.append(f"eta={eta:.2f} acc_mean={'n/a' if stats[0] is None else f'{stats[0]:.4f}'} ({n_ok} ok)")
+    return _finish_grid(
+        args, "sweep", "sweep.csv", lines, dict(asdict(config), etas=etas, seeds=seeds), parallelism, outcomes,
+        summary, "cells failed",
     )
-    cells = [
-        {"eta": eta, "seed": seed, "status": status, **{k: getattr(report, k, None) for k in ("acc", "nmi", "ari")}}
-        for (eta, seed), (status, report) in zip(grid, outcomes)
-    ]
-    aggregates = _aggregate(cells)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "sweep.csv", _sweep_csv(cells, aggregates))
-    _write_manifest(out_dir, "sweep", dict(asdict(config), etas=etas, seeds=seeds, data=str(args.data)), parallelism)
-    failed = [c for c in cells if c["status"] != "ok"]
-    for agg in aggregates:
-        mean = "n/a" if agg["acc_mean"] is None else f"{agg['acc_mean']:.4f}"
-        print(f"eta={agg['eta']:.2f} acc_mean={mean} ({agg['n_ok']} ok)")
-    if failed:
-        print(f"{len(failed)} cells failed", file=sys.stderr)
-        return 1
-    return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
@@ -447,51 +434,26 @@ def cmd_ablate(args) -> int:
     views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, base)
     eta = resolve_eta(args, file_values)
     seeds = _parse_seeds(args.seeds)
-    grid = [(mode, replace(base, seed=seed, **flags)) for mode, flags in ABLATION_MODES.items() for seed in seeds]
-    results, parallelism = _run_grid(views, labels, n_clusters, stored_mask, [(eta, config) for _, config in grid])
-    outcomes = [(mode, report) for (mode, _), (_, report) in zip(grid, results)]
-    rows = []
-    per_mode_acc = {}
-    failed = sum(1 for _, report in outcomes if report is None)
-    for mode in ABLATION_MODES:
-        reports = [report for m, report in outcomes if m == mode and report is not None]
-        if reports:
-            accs = np.array([r.acc for r in reports])
-            nmis = np.array([r.nmi for r in reports])
-            aris = np.array([r.ari for r in reports])
-            rows.append(
-                {
-                    "config": mode,
-                    "acc_mean": accs.mean(), "acc_std": accs.std(),
-                    "nmi_mean": nmis.mean(), "nmi_std": nmis.std(),
-                    "ari_mean": aris.mean(), "ari_std": aris.std(),
-                }
-            )
-            per_mode_acc[mode] = float(accs.mean())
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    modes = [mode for mode in ABLATION_MODES for _ in seeds]
+    grid = [(eta, replace(base, seed=seed, **flags)) for flags in ABLATION_MODES.values() for seed in seeds]
+    outcomes, parallelism = _run_grid(views, labels, n_clusters, stored_mask, grid)
     lines = ["config,acc_mean,acc_std,nmi_mean,nmi_std,ari_mean,ari_std"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [row["config"]]
-                + [_fmt(row[k]) for k in ("acc_mean", "acc_std", "nmi_mean", "nmi_std", "ari_mean", "ari_std")]
-            )
-        )
-    _atomic_write(out_dir / "ablation.csv", "\n".join(lines) + "\n")
-    _write_manifest(out_dir, "ablate", dict(asdict(base), eta=eta, seeds=seeds, data=str(args.data)), parallelism)
-    for row in rows:
-        print(f"{row['config']:14s} acc={row['acc_mean']:.4f}+-{row['acc_std']:.4f}")
-    if "full" in per_mode_acc and "no-ins" in per_mode_acc:
-        if per_mode_acc["full"] < per_mode_acc["no-ins"] - 0.02:
+    summary, acc_mean = [], {}
+    for mode, n_ok, stats in _summaries(modes, outcomes, ABLATION_MODES):
+        if n_ok:  # a mode with no finished cell gets no row
+            lines.append(",".join([mode] + [_fmt(v) for v in stats]))
+            summary.append(f"{mode:14s} acc={stats[0]:.4f}+-{stats[1]:.4f}")
+            acc_mean[mode] = stats[0]
+    if "full" in acc_mean and "no-ins" in acc_mean:
+        if acc_mean["full"] < acc_mean["no-ins"] - 0.02:
             print(
                 "warning: full model mean ACC fell more than 0.02 below the no-ins ablation",
                 file=sys.stderr,
             )
-    if failed:
-        print(f"{failed} ablation cells failed", file=sys.stderr)
-        return 1
-    return EXIT_OK
+    return _finish_grid(
+        args, "ablate", "ablation.csv", lines, dict(asdict(base), eta=eta, seeds=seeds), parallelism, outcomes,
+        summary, "ablation cells failed",
+    )
 
 
 def cmd_eval(args) -> int:
@@ -570,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--etas", help="comma-separated missing rates")
     sweep.add_argument("--seeds", help="comma-separated seeds")
-    sweep.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     _add_train_flags(sweep)
     sweep.set_defaults(handler=cmd_sweep)
 
@@ -579,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--out", required=True)
     ablate.add_argument("--eta", type=float)
     ablate.add_argument("--seeds", help="comma-separated seeds")
-    ablate.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     _add_train_flags(ablate)
     ablate.set_defaults(handler=cmd_ablate)
 

@@ -83,29 +83,11 @@ class DiffNode:
     def __add__(self, other):
         return elementwise(self, _ensure(other), "add")
 
-    def __radd__(self, other):
-        return elementwise(_ensure(other), self, "add")
-
     def __sub__(self, other):
         return elementwise(self, _ensure(other), "sub")
 
-    def __rsub__(self, other):
-        return elementwise(_ensure(other), self, "sub")
-
     def __mul__(self, other):
         return elementwise(self, _ensure(other), "mul")
-
-    def __rmul__(self, other):
-        return elementwise(_ensure(other), self, "mul")
-
-    def __truediv__(self, other):
-        return elementwise(self, _ensure(other), "div")
-
-    def __rtruediv__(self, other):
-        return elementwise(_ensure(other), self, "div")
-
-    def __neg__(self):
-        return unary(self, "neg")
 
     def __matmul__(self, other):
         return matmul(self, _ensure(other))

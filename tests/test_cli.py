@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from icmvc import cli
 from icmvc.cli import _add_train_flags, main
+from icmvc.errors import DivergenceError
 from icmvc.trainer import TrainConfig
 
 FAST = ["--epochs", "4", "--dim", "16", "--embed-dim", "8", "--knn", "4"]
@@ -379,6 +380,60 @@ def test_sweep_checks_every_rate_before_training(dataset, tmp_path, capsys, monk
     assert main(args) == 2
     assert "1.5" in capsys.readouterr().err
     assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+def test_sweep_refuses_a_dataset_with_mask_csv(tmp_path, capsys, monkeypatch):
+    # load_dataset zero-fills the rows mask.csv marks missing; --etas masks
+    # would count those zeros as observed features
+    data = tmp_path / "masked"
+    gen = ["gen", "--n", "36", "--clusters", "3", "--dim", "4", "--sigma", "0.4", "--seed", "1", "--eta", "0.5"]
+    assert main(gen + ["--out", str(data)]) == 0
+    monkeypatch.setattr(cli, "train", lambda *args, **kw: pytest.fail("a cell trained"))
+    args = ["sweep", "--data", str(data), "--out", str(tmp_path / "o"), "--etas", "0", "--seeds", "1"] + FAST
+    assert main(args) == 2
+    assert "mask.csv" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "ablate"])
+def test_grid_seed_flag_reads_as_seeds(dataset, tmp_path, monkeypatch, command):
+    # argparse reads --seed as an abbreviation of --seeds, so every cell trains seed 3
+    log = tmp_path / "train-seeds"
+    real_train = cli.train
+
+    def train(views, mask, n_clusters, config, **kw):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{config.seed}\n")
+        return real_train(views, mask, n_clusters, config, **kw)
+
+    monkeypatch.setattr(cli, "train", train)
+    rate = {"sweep": ["--etas", "0"], "ablate": ["--eta", "0"]}[command]
+    assert main([command, "--data", str(dataset), "--out", str(tmp_path / "o"), "--seed", "3"] + rate + FAST) == 0
+    assert log.read_text().splitlines() == ["3"] * {"sweep": 1, "ablate": 4}[command]
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["seeds"] == [3]
+
+
+def test_failed_cells_are_reported_and_exit_1(dataset, tmp_path, capsys, monkeypatch):
+    real_train = cli.train
+
+    def train(views, mask, n_clusters, config, **kw):
+        if not mask.all() or not config.use_ins:  # every cell at rate 0.3, and the no-ins mode
+            raise DivergenceError("forced")
+        return real_train(views, mask, n_clusters, config, **kw)
+
+    monkeypatch.setattr(cli, "train", train)
+    capsys.readouterr()
+    assert main(["sweep", "--data", str(dataset), "--out", str(tmp_path / "s"), "--etas", "0,0.3", "--seeds", "1"] + FAST) == 1
+    captured = capsys.readouterr()
+    assert "eta=0.30 acc_mean=n/a (0 ok)" in captured.out.splitlines()
+    assert captured.err == "1 cells failed\n"
+    assert "aggregate,0.3,,ok=0,,,,,,,,," in (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+    assert main(["ablate", "--data", str(dataset), "--out", str(tmp_path / "a"), "--eta", "0", "--seeds", "1,2"] + FAST) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "2 ablation cells failed\n"
+    _, rows = read_csv_rows(tmp_path / "a" / "ablation.csv")
+    assert [r["config"] for r in rows] == ["full", "no-hg", "no-hg-no-clu"]
+    assert len(captured.out.splitlines()) == 3
 
 
 @pytest.fixture()

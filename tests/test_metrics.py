@@ -121,7 +121,11 @@ def test_assignment_total_equals_scipy_on_large_tables(size):
 
 
 def test_package_import_leaves_scipy_optimize_out():
-    probe = "import sys, icmvc, icmvc.cli; print(sorted(k for k in sys.modules if k.split('.')[:2] == ['scipy', 'optimize']))"
+    # nor the process pool, which only sweep and ablate start
+    probe = (
+        "import sys, icmvc, icmvc.cli; print(sorted(k for k in sys.modules if k.split('.')[:2] == ['scipy', 'optimize']"
+        " or k.startswith('multiprocessing') or k == 'concurrent.futures.process'))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(metrics.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
