@@ -14,6 +14,7 @@ import ctypes
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 import typing
@@ -53,12 +54,12 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, extra: dict | None = None):
-    files = sorted(p for p in out_dir.iterdir() if p.is_file() and p.name != "manifest.json")
+def _write_manifest(out_dir: Path, command: str, config: dict, written, extra: dict | None = None):
+    """Write manifest.json with the checksums of the files this command wrote, named in ``written``."""
     manifest = {
         "command": command,
         "config": config,
-        "checksums": {p.name: _sha256(p) for p in files},
+        "checksums": {name: _sha256(out_dir / name) for name in sorted(written)},
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     manifest.update(extra or {})
@@ -237,17 +238,19 @@ def cmd_run(args) -> int:
     _atomic_write(out_dir / "metrics.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _atomic_write(out_dir / "history.csv", _history_csv(result))
     _atomic_write(out_dir / "labels.csv", "\n".join(str(int(v)) for v in result.labels) + "\n")
+    written = ["metrics.json", "history.csv", "labels.csv"]
     if args.dump_embeddings:
         _atomic_write(
             out_dir / "embeddings.csv",
             "\n".join(",".join(_fmt(v) for v in row) for row in result.embeddings) + "\n",
         )
+        written.append("embeddings.csv")
     if args.save_model:
         save_checkpoint(result.params, out_dir / "checkpoint", config=asdict(config))
     manifest_config = dict(asdict(config), eta=eta, mask_source=mask_source, data=str(args.data), scale=not args.no_scale)
-    _write_manifest(
-        out_dir, "run", manifest_config, {"wall_time_s": round(result.wall_time, 3), "blas_threads": _blas_threads()}
-    )
+    extra = {"wall_time_s": round(result.wall_time, 3), "blas_threads": _blas_threads(),
+             "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF)}
+    _write_manifest(out_dir, "run", manifest_config, written, extra)
     print(f"acc={report.acc:.6f} nmi={report.nmi:.6f} ari={report.ari:.6f}")
     return EXIT_OK
 
@@ -263,14 +266,14 @@ def cmd_gen(args) -> int:
     if args.eta is not None:
         mask = make_mask(args.n, args.views, args.eta, resolve_seed(args))
     out_dir = Path(args.out)
-    save_dataset(out_dir, views, labels, mask=mask)
+    written = save_dataset(out_dir, views, labels, mask=mask)
     spec = {
         "n": args.n, "views": args.views, "clusters": args.clusters, "dim": args.dim,
         "sigma": args.sigma, "transform": args.transform, "seed": resolve_seed(args),
         "eta": args.eta, "mask_prng": MASK_PRNG,
     }
-    _write_manifest(out_dir, "gen", spec)
-    print(f"wrote {sum(1 for p in out_dir.iterdir() if p.is_file())} files to {out_dir}")
+    _write_manifest(out_dir, "gen", spec, written)
+    print(f"wrote {len(written) + 1} files to {out_dir}")
     return EXIT_OK
 
 
@@ -313,6 +316,11 @@ def _openblas(action: str):
 def _blas_threads():
     get = _openblas("get")
     return get() if get else None
+
+
+def _peak_rss_mb(*who) -> float:
+    """The largest peak RSS in MiB among ``who`` (``resource.RUSAGE_*``; Linux counts ``ru_maxrss`` in KiB)."""
+    return round(max(resource.getrusage(w).ru_maxrss for w in who) / 1024.0, 1)
 
 
 def _usable_cores() -> int:
@@ -391,11 +399,15 @@ def _summaries(keys, outcomes, order):
 def _finish_grid(args, command, csv_name, csv_lines, manifest_config, parallelism, outcomes, summary, failure) -> int:
     """Write a grid's CSV and manifest.json and print its ``summary`` lines;
     when a cell failed, print the count and ``failure`` ("cells failed") to
-    stderr and exit 1."""
+    stderr and exit 1. The manifest has no ``seed`` (each cell trains one of
+    ``seeds``) and the larger ``peak_rss_mb`` of this process and its workers."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / csv_name, "\n".join(csv_lines) + "\n")
-    _write_manifest(out_dir, command, dict(manifest_config, data=str(args.data)), parallelism)
+    config = dict(manifest_config, data=str(args.data))
+    del config["seed"]
+    peak = _peak_rss_mb(resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    _write_manifest(out_dir, command, config, [csv_name], dict(parallelism, peak_rss_mb=peak))
     for line in summary:
         print(line)
     n_failed = sum(report is None for _, report in outcomes)
@@ -466,7 +478,7 @@ def cmd_eval(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(out_dir / "metrics.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        _write_manifest(out_dir, "eval", {"pred": str(args.pred), "truth": str(args.truth)})
+        _write_manifest(out_dir, "eval", {"pred": str(args.pred), "truth": str(args.truth)}, ["metrics.json"])
     print(f"acc={report.acc:.6f} nmi={report.nmi:.6f} ari={report.ari:.6f}")
     return EXIT_OK
 

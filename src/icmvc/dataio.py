@@ -149,15 +149,22 @@ def minmax_scale(x: np.ndarray, name: str) -> np.ndarray:
     return (x - lo) / span
 
 
-def save_dataset(path, views: ViewSet, labels: np.ndarray, mask: np.ndarray | None = None):
-    """Write the directory layout readable by :func:`load_dataset`."""
+def save_dataset(path, views: ViewSet, labels: np.ndarray, mask: np.ndarray | None = None) -> list:
+    """Write the directory layout readable by :func:`load_dataset`; returns
+    the names of the files written. A ``mask.csv`` or ``view<k>.csv`` that an
+    earlier dataset left in ``path`` is removed, so none is read with this one."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    names = [f"view{v}.csv" for v in range(1, views.n_views + 1)] + ["labels.csv", "meta.json"]
     for v, matrix in enumerate(views.views, start=1):
         write_matrix(path / f"view{v}.csv", matrix)
     write_matrix(path / "labels.csv", np.asarray(labels).reshape(-1, 1), integer=True)
     if mask is not None:
         write_matrix(path / "mask.csv", np.asarray(mask).astype(int), integer=True)
+        names.append("mask.csv")
+    for old in [*path.glob("view*.csv"), path / "mask.csv"]:
+        if old.name not in names and (old.stem == "mask" or old.stem[len("view"):].isdecimal()):
+            old.unlink(missing_ok=True)
     meta = {
         "n_instances": views.n_instances,
         "n_views": views.n_views,
@@ -165,6 +172,7 @@ def save_dataset(path, views: ViewSet, labels: np.ndarray, mask: np.ndarray | No
         "dims": views.dims,
     }
     (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return names
 
 
 def load_dataset(path, minmax: bool = False):

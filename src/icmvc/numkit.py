@@ -7,12 +7,14 @@ parent; constants (made by :func:`constant`, or raw arrays passed to an op)
 are inactive. Calling :func:`backward` on a scalar (1x1) root differentiates
 only the active nodes behind it: vjps into constants are never run and
 constants never hold a gradient (reverse-mode activity analysis). The engine
-is eager; the gradients of active nodes are the same numbers that running
-every vjp into zero-filled buffers would give. The fused ops are one node
-each with a hand-written backward: :func:`affine` for a dense layer,
-:func:`gcn_layer` for a graph-convolution layer over a constant operator
-(dense or ``scipy.sparse``, never a node), and :func:`contrast_pair` for a
-whole contrastive loss.
+is eager; the gradients of active leaves are the same numbers that running
+every vjp into zero-filled buffers would give. Only leaves keep ``grad``
+after :func:`backward`: an interior node's is freed once its vjps have run.
+The fused ops are one node each with a hand-written backward that frees its
+buffers (the relu-masked upstream, the contrast matrix) once used: :func:`affine`
+for a dense layer, :func:`gcn_layer` for a graph-convolution layer over a
+constant operator (dense or ``scipy.sparse``, never a node), and
+:func:`contrast_pair` for a whole contrastive loss.
 
 Numerical conventions (applied uniformly so downstream losses never see a
 NaN from an in-contract input):
@@ -47,7 +49,8 @@ class DiffNode:
 
     ``active`` is fixed at construction: given for a leaf, and for an op
     node true iff any parent is active. ``grad`` is lazily allocated; a node
-    left untouched by :func:`backward` reports an all-zero gradient.
+    left untouched by :func:`backward`, and an interior node after it (whose
+    gradient is freed once used), reports an all-zero gradient.
     """
 
     __slots__ = ("value", "_grad", "parents", "_vjps", "active")
@@ -287,7 +290,8 @@ def contrast_pair(a: DiffNode, b: DiffNode, tau: float, include_self: bool = Tru
     With the unit rows of ``a`` stacked over those of ``b`` as Z (2N x D) and
     E = exp(Z Zᵀ / tau), it is sum_k log r_k - 2 sum_i cos(a_i, b_i) / tau, for
     r = rowsum(E) clamped to ``EPS``; ``include_self=False`` zeroes E's diagonal.
-    The hand-derived backward runs once, on the first vjp call, for both parents.
+    The hand-derived backward runs once, on the first vjp call, for both parents,
+    and then frees E; later calls reuse the cached gradients.
     """
     if tau <= 0:
         raise ConfigError(f"contrast temperature must be positive, got {tau}")
@@ -310,9 +314,11 @@ def contrast_pair(a: DiffNode, b: DiffNode, tau: float, include_self: bool = Tru
 
     def unit_grads():
         # dL/dZ = (E Z / r + E (Z / r) - 2 [Z_b; Z_a]) / tau, as E is symmetric
+        nonlocal e
         if not grads:
             inv = 1.0 / r
             ez, ez_inv = np.hsplit(e @ np.hstack([z, inv * z]), 2)
+            e = None  # the 2N x 2N buffer is spent: later sweeps reuse these gradients
             dz = (inv * ez + ez_inv - 2.0 * np.roll(z, n, axis=0)) / tau
             grads.extend((unit_vjp_a(dz[:n]), unit_vjp_b(dz[n:])))
         return grads
@@ -321,15 +327,21 @@ def contrast_pair(a: DiffNode, b: DiffNode, tau: float, include_self: bool = Tru
     return DiffNode([[value]], (a, b), (lambda g: g[0, 0] * unit_grads()[0], lambda g: g[0, 0] * unit_grads()[1]))
 
 
-def _masked_upstream(positive: np.ndarray):
-    """The relu vjp ``g -> g * positive``, computed once per upstream array:
-    within one backward sweep every vjp of a node receives the same ``g``."""
+def _masked_upstream(positive: np.ndarray, parents):
+    """The relu vjp ``g -> g * positive`` as ``masked(g, index)``, called by
+    the vjp of parent ``index``. Within one backward sweep every vjp of a node
+    receives the same ``g``, so the product is computed once; it is dropped
+    after the vjp of the last active parent, the last one a sweep runs."""
+    last = max((i for i, parent in enumerate(parents) if parent.active), default=None)
     memo = [None, None]
 
-    def masked(g):
+    def masked(g, index):
         if memo[0] is not g:
             memo[0], memo[1] = g, g * positive
-        return memo[1]
+        out = memo[1]
+        if index == last:
+            memo[0] = memo[1] = None
+        return out
 
     return masked
 
@@ -347,16 +359,16 @@ def affine(x: DiffNode, w: DiffNode, b: DiffNode, act: str | None = None) -> Dif
     out = xv @ wv
     out += b.value
     if act is None:
-        masked = lambda g: g
+        masked = lambda g, index: g
     elif act == "relu":
         np.maximum(out, 0.0, out=out)
-        masked = _masked_upstream(out > 0)
+        masked = _masked_upstream(out > 0, (x, w, b))
     else:
         raise ConfigError(f"unknown affine activation {act!r}")
     vjps = (
-        lambda g: masked(g) @ wv.T,
-        lambda g: xv.T @ masked(g),
-        lambda g: masked(g).sum(axis=0, keepdims=True),
+        lambda g: masked(g, 0) @ wv.T,
+        lambda g: xv.T @ masked(g, 1),
+        lambda g: masked(g, 2).sum(axis=0, keepdims=True),
     )
     return DiffNode(out, (x, w, b), vjps)
 
@@ -377,13 +389,13 @@ def gcn_layer(h: DiffNode, operator, w: DiffNode, residual: bool = False) -> Dif
     propagated = operator @ hv  # kept for the weight vjp
     out = propagated @ wv
     np.maximum(out, 0.0, out=out)
-    masked = _masked_upstream(out > 0)
+    masked = _masked_upstream(out > 0, (h, w))
     if residual:
         out += hv
-        vjp_h = lambda g: operator.T @ (masked(g) @ wv.T) + g
+        vjp_h = lambda g: operator.T @ (masked(g, 0) @ wv.T) + g
     else:
-        vjp_h = lambda g: operator.T @ (masked(g) @ wv.T)
-    return DiffNode(out, (h, w), (vjp_h, lambda g: propagated.T @ masked(g)))
+        vjp_h = lambda g: operator.T @ (masked(g, 0) @ wv.T)
+    return DiffNode(out, (h, w), (vjp_h, lambda g: propagated.T @ masked(g, 1)))
 
 
 def concat_cols(nodes) -> DiffNode:
@@ -463,7 +475,8 @@ def backward(root: DiffNode) -> None:
     Gradients of those nodes are reset first, so repeated calls are
     idempotent; a node consumed by several paths receives the summed
     contribution, in the same order as an exhaustive sweep would add it.
-    No vjp into an inactive node runs, so a constant's ``grad`` reads as zeros.
+    No vjp into an inactive node runs, so a constant's ``grad`` reads as zeros;
+    only leaves keep theirs, an interior node's is dropped after its vjps run.
     """
     if root.value.shape != (1, 1):
         raise ContractError(f"backward root must be 1x1, got {root.value.shape}")
@@ -473,6 +486,8 @@ def backward(root: DiffNode) -> None:
     root._grad = np.ones((1, 1))
     for node in reversed(order):
         g = node._grad
+        if node.parents:  # an interior node's gradient is spent once its vjps have run
+            node._grad = None
         for parent, vjp in zip(node.parents, node._vjps):
             if parent.active:
                 c = vjp(g)

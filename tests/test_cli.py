@@ -62,6 +62,19 @@ def test_gen_with_eta_writes_mask(tmp_path):
     assert (out / "mask.csv").exists()
 
 
+def test_gen_over_an_older_dataset_leaves_none_of_its_files(tmp_path):
+    out = tmp_path / "d"
+    gen = ["gen", "--n", "20", "--clusters", "2", "--dim", "3", "--sigma", "0.2", "--out", str(out)]
+    assert main(gen + ["--seed", "1", "--eta", "0.5", "--views", "3"]) == 0
+    assert main(gen + ["--seed", "2"]) == 0
+    written = ["labels.csv", "meta.json", "view1.csv", "view2.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(written + ["manifest.json"])
+    assert sorted(json.loads((out / "manifest.json").read_text())["checksums"]) == written
+    run = tmp_path / "run"
+    assert main(["run", "--data", str(out), "--eta", "0.1", "--seed", "1", "--out", str(run)] + FAST) == 0
+    assert json.loads((run / "manifest.json").read_text())["config"]["mask_source"] != "mask.csv"
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -88,6 +101,17 @@ def test_run_rerun_byte_identical(dataset, tmp_path):
     assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
     assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
     assert (a / "labels.csv").read_bytes() == (b / "labels.csv").read_bytes()
+
+
+def test_run_manifest_checksums_only_what_the_run_wrote(dataset, tmp_path):
+    out = tmp_path / "run"
+    cmd = ["run", "--data", str(dataset), "--eta", "0.3", "--seed", "7", "--out", str(out)] + FAST
+    assert main(cmd + ["--dump-embeddings"]) == 0
+    assert main(cmd) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (out / "embeddings.csv").exists()
+    assert sorted(manifest["checksums"]) == ["history.csv", "labels.csv", "metrics.json"]
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
 
 
 def test_run_ablate_zeroes_history_column(dataset, tmp_path):
@@ -411,6 +435,16 @@ def test_grid_seed_flag_reads_as_seeds(dataset, tmp_path, monkeypatch, command):
     assert main([command, "--data", str(dataset), "--out", str(tmp_path / "o"), "--seed", "3"] + rate + FAST) == 0
     assert log.read_text().splitlines() == ["3"] * {"sweep": 1, "ablate": 4}[command]
     assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["seeds"] == [3]
+
+
+@pytest.mark.parametrize("command", ["sweep", "ablate"])
+def test_grid_manifest_has_no_seed_and_a_peak_rss(dataset, tmp_path, monkeypatch, command):
+    monkeypatch.setenv("ICMVC_SEED", "3")  # no cell trains it: each trains one of --seeds
+    rate = {"sweep": ["--etas", "0"], "ablate": ["--eta", "0"]}[command]
+    assert main([command, "--data", str(dataset), "--out", str(tmp_path / "o"), "--seeds", "1"] + rate + FAST) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert "seed" not in manifest["config"] and manifest["config"]["seeds"] == [1]
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
 
 
 def test_failed_cells_are_reported_and_exit_1(dataset, tmp_path, capsys, monkeypatch):

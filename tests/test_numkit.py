@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -471,6 +473,82 @@ def test_fused_layer_backward_follows_each_sweeps_upstream(make):
     nk.backward(weighted_square_sum(layer(), seed=2))
     for p, want in zip((x, w), second):
         np.testing.assert_array_equal(want, p.grad)
+
+
+def tracked(node, refs):
+    """An identity node whose vjp hands ``node`` a fresh upstream gradient, tracked weakly in ``refs``."""
+
+    def vjp(g):
+        upstream = g.copy()
+        refs.append(weakref.ref(upstream))
+        return upstream
+
+    return nk.DiffNode(node.value, (node,), (vjp,))
+
+
+def fused_layer_stack(width, between=lambda node: node):
+    """A constant input through a GCN layer and a relu affine layer into a sum,
+    with ``between`` applied to each layer's output; returns the root and the
+    three trainable leaves."""
+    rng = np.random.default_rng(27)
+    n = 40
+    x, op = nk.constant(rng.normal(size=(n, 8))), random_operator(n, dense=False, seed=28)
+    w1, w2, b = (nk.leaf(rng.normal(size=s)) for s in ((8, width), (width, width), (1, width)))
+    hidden = between(nk.gcn_layer(x, op, w1))
+    return nk.reduce(between(nk.affine(hidden, w2, b, "relu")), "sum"), (w1, w2, b)
+
+
+def test_backward_keeps_gradients_on_leaves_only():
+    root, leaves = fused_layer_stack(6)
+    reference = exhaustive_backward(root)
+    nk.backward(root)
+    interior, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.parents:
+            interior.append(node)
+            stack.extend(node.parents)
+    assert len(interior) == 3
+    for node in interior:
+        np.testing.assert_array_equal(node.grad, np.zeros(node.shape))
+    for leaf in leaves:
+        assert np.any(leaf.grad != 0.0)
+        np.testing.assert_array_equal(leaf.grad, reference[id(leaf)])
+
+
+def test_backward_frees_the_upstream_of_each_fused_layer():
+    upstreams = []
+    root, _ = fused_layer_stack(5, lambda node: tracked(node, upstreams))
+    nk.backward(root)
+    assert len(upstreams) == 2 and all(ref() is None for ref in upstreams)
+
+
+def test_backward_keeps_no_more_than_the_leaf_gradients():
+    # interior gradients and the relu-masked upstream copies (N x width each) are freed
+    tracemalloc.start()
+    try:
+        root, leaves = fused_layer_stack(256)
+        built = tracemalloc.get_traced_memory()[0]
+        nk.backward(root)
+        kept = tracemalloc.get_traced_memory()[0] - built
+    finally:
+        tracemalloc.stop()
+    assert kept <= sum(leaf.value.nbytes for leaf in leaves) + 32 * 2**10
+
+
+def test_contrast_pair_backward_frees_its_buffer():
+    rng = np.random.default_rng(31)
+    n = 300
+    a, b = nk.leaf(rng.normal(size=(n, 4))), nk.leaf(rng.normal(size=(n, 4)))
+    tracemalloc.start()
+    try:
+        root = nk.contrast_pair(a, b, 0.5)
+        built = tracemalloc.get_traced_memory()[0]
+        nk.backward(root)
+        kept = tracemalloc.get_traced_memory()[0] - built
+    finally:
+        tracemalloc.stop()
+    assert kept <= -0.9 * (2 * n) ** 2 * 8  # the 2N x 2N float64 E is gone
 
 
 def test_fused_layers_reject_mismatched_shapes():
