@@ -23,7 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import MASK_PRNG, load_dataset, make_mask, read_labels, save_dataset, synth_blobs
+from .dataio import (
+    MASK_PRNG, atomic_write, load_dataset, make_mask, read_labels, save_dataset, synth_blobs, write_matrix,
+)
 from .errors import ConfigError, DataError, DivergenceError, FormatError, IcmvcError
 from .metrics import evaluate
 from .network import save_checkpoint
@@ -42,12 +44,6 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else repr(float(x))  # None: a blank CSV cell
 
 
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     digest.update(path.read_bytes())
@@ -63,7 +59,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, written, extra: d
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     manifest.update(extra or {})
-    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_list(text: str, flag: str, kind) -> list:
@@ -122,22 +118,21 @@ def _fits(value, hint) -> bool:
     return isinstance(value, tuple(k for k in kinds if k is not bool))
 
 
-def build_config(args, file_values: dict | None = None) -> TrainConfig:
+def _settings(args) -> tuple[TrainConfig, float | None]:
+    """The validated training config and the missing rate (None when neither
+    ``--eta`` nor the config file gives one)."""
+    file_values = load_file_values(args)
     values = asdict(TrainConfig())
-    if file_values is None:
-        file_values = load_file_values(args)
     values.update({k: v for k, v in file_values.items() if k in values})
     for name in values:  # each training flag's dest is its TrainConfig field
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
     values["seed"] = resolve_seed(args, file_values)
-    ablate = getattr(args, "ablate", None)
-    if ablate is not None:
-        if ablate not in ABLATION_MODES:
-            raise ConfigError(f"unknown ablation {ablate!r}")
-        values.update(ABLATION_MODES[ablate])
-    return TrainConfig(**values).validate()
+    eta = getattr(args, "eta", None)
+    if eta is None and "eta" in file_values:
+        eta = float(file_values["eta"])
+    return TrainConfig(**values).validate(), eta
 
 
 def resolve_seed(args, file_values=None) -> int:
@@ -156,14 +151,6 @@ def resolve_seed(args, file_values=None) -> int:
     if seed < 0:
         raise ConfigError(f"{source} must be non-negative, got {seed}")
     return seed
-
-
-def resolve_eta(args, file_values=None):
-    if getattr(args, "eta", None) is not None:
-        return args.eta
-    if file_values and "eta" in file_values:
-        return float(file_values["eta"])
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -199,54 +186,32 @@ def _mask_for(views, stored_mask, eta, seed):
 def _history_csv(result) -> str:
     lines = ["epoch,l_ins,l_clu,l_hg,total,acc,nmi,ari"]
     for epoch, breakdown in enumerate(result.history):
-        cells = [str(epoch)] + [_fmt(v) for v in breakdown.as_row()]
-        if result.metric_history:
-            report = result.metric_history[epoch]
-            cells += [_fmt(report.acc), _fmt(report.nmi), _fmt(report.ari)]
-        else:
-            cells += ["", "", ""]
+        report = result.metric_history[epoch]
+        cells = [str(epoch)] + [_fmt(v) for v in breakdown.as_row() + [report.acc, report.nmi, report.ari]]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def cmd_run(args) -> int:
-    file_values = load_file_values(args)
-    config = build_config(args, file_values)
+    config, eta = _settings(args)
     views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, config)
-    eta = resolve_eta(args, file_values)
     mask, mask_source = _mask_for(views, stored_mask, eta, config.seed)
     result = train(views, mask, n_clusters, config, labels=labels)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = result.final_metrics
-    payload = {
-        "acc": report.acc,
-        "nmi": report.nmi,
-        "ari": report.ari,
-        "final_loss": {
-            "l_ins": result.history[-1].l_ins,
-            "l_clu": result.history[-1].l_clu,
-            "l_hg": result.history[-1].l_hg,
-            "total": result.history[-1].total,
-        },
-        "epochs": config.epochs,
-        "eta": eta,
-        "seed": config.seed,
-        "ablation": config.ablation_name(),
-    }
-    _atomic_write(out_dir / "metrics.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _atomic_write(out_dir / "history.csv", _history_csv(result))
-    _atomic_write(out_dir / "labels.csv", "\n".join(str(int(v)) for v in result.labels) + "\n")
+    payload = dict(report.to_dict(), final_loss=asdict(result.history[-1]), epochs=config.epochs, eta=eta,
+                   seed=config.seed, ablation=config.ablation)
+    atomic_write(out_dir / "metrics.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(out_dir / "history.csv", _history_csv(result))
+    write_matrix(out_dir / "labels.csv", result.labels.reshape(-1, 1), integer=True)
     written = ["metrics.json", "history.csv", "labels.csv"]
     if args.dump_embeddings:
-        _atomic_write(
-            out_dir / "embeddings.csv",
-            "\n".join(",".join(_fmt(v) for v in row) for row in result.embeddings) + "\n",
-        )
+        write_matrix(out_dir / "embeddings.csv", result.embeddings)
         written.append("embeddings.csv")
     if args.save_model:
-        save_checkpoint(result.params, out_dir / "checkpoint", config=asdict(config))
+        written += save_checkpoint(result.params, out_dir / "checkpoint", config=asdict(config))
     manifest_config = dict(asdict(config), eta=eta, mask_source=mask_source, data=str(args.data), scale=not args.no_scale)
     extra = {"wall_time_s": round(result.wall_time, 3), "blas_threads": _blas_threads(),
              "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF)}
@@ -256,21 +221,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.clusters < 1:
-        raise ConfigError(f"clusters must be >= 1, got {args.clusters}")
-    views, labels = synth_blobs(
-        args.n, args.views, args.clusters, args.dim, args.sigma,
-        view_transforms=args.transform, seed=resolve_seed(args),
-    )
-    mask = None
-    if args.eta is not None:
-        mask = make_mask(args.n, args.views, args.eta, resolve_seed(args))
+    seed = resolve_seed(args)
+    views, labels = synth_blobs(args.n, args.views, args.clusters, args.dim, args.sigma, seed=seed)
+    mask = None if args.eta is None else make_mask(args.n, args.views, args.eta, seed)
     out_dir = Path(args.out)
     written = save_dataset(out_dir, views, labels, mask=mask)
     spec = {
         "n": args.n, "views": args.views, "clusters": args.clusters, "dim": args.dim,
-        "sigma": args.sigma, "transform": args.transform, "seed": resolve_seed(args),
-        "eta": args.eta, "mask_prng": MASK_PRNG,
+        "sigma": args.sigma, "seed": seed, "eta": args.eta, "mask_prng": MASK_PRNG,
     }
     _write_manifest(out_dir, "gen", spec, written)
     print(f"wrote {len(written) + 1} files to {out_dir}")
@@ -403,7 +361,7 @@ def _finish_grid(args, command, csv_name, csv_lines, manifest_config, parallelis
     ``seeds``) and the larger ``peak_rss_mb`` of this process and its workers."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / csv_name, "\n".join(csv_lines) + "\n")
+    atomic_write(out_dir / csv_name, "\n".join(csv_lines) + "\n")
     config = dict(manifest_config, data=str(args.data))
     del config["seed"]
     peak = _peak_rss_mb(resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
@@ -418,7 +376,7 @@ def _finish_grid(args, command, csv_name, csv_lines, manifest_config, parallelis
 
 
 def cmd_sweep(args) -> int:
-    config = build_config(args)
+    config, _ = _settings(args)
     views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, config)
     if stored_mask is not None:
         raise ConfigError(f"{args.data} has a mask.csv: sweep sets the missing rates itself, from --etas")
@@ -441,17 +399,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    file_values = load_file_values(args)
-    base = build_config(args, file_values)
+    base, eta = _settings(args)
     views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, base)
-    eta = resolve_eta(args, file_values)
     seeds = _parse_seeds(args.seeds)
-    modes = [mode for mode in ABLATION_MODES for _ in seeds]
-    grid = [(eta, replace(base, seed=seed, **flags)) for flags in ABLATION_MODES.values() for seed in seeds]
+    grid = [(eta, replace(base, seed=seed, ablation=mode)) for mode in ABLATION_MODES for seed in seeds]
     outcomes, parallelism = _run_grid(views, labels, n_clusters, stored_mask, grid)
     lines = ["config,acc_mean,acc_std,nmi_mean,nmi_std,ari_mean,ari_std"]
     summary, acc_mean = [], {}
-    for mode, n_ok, stats in _summaries(modes, outcomes, ABLATION_MODES):
+    for mode, n_ok, stats in _summaries([cell.ablation for _, cell in grid], outcomes, ABLATION_MODES):
         if n_ok:  # a mode with no finished cell gets no row
             lines.append(",".join([mode] + [_fmt(v) for v in stats]))
             summary.append(f"{mode:14s} acc={stats[0]:.4f}+-{stats[1]:.4f}")
@@ -477,7 +432,7 @@ def cmd_eval(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out_dir / "metrics.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        atomic_write(out_dir / "metrics.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
         _write_manifest(out_dir, "eval", {"pred": str(args.pred), "truth": str(args.truth)}, ["metrics.json"])
     print(f"acc={report.acc:.6f} nmi={report.nmi:.6f} ari={report.ari:.6f}")
     return EXIT_OK
@@ -485,10 +440,9 @@ def cmd_eval(args) -> int:
 
 def cmd_baseline(args) -> int:
     views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale)
-    seed = resolve_seed(args)
-    eta = resolve_eta(args)
-    mask, _ = _mask_for(views, stored_mask, eta, seed)
-    report = baseline(views, mask, labels, n_clusters, args.kind, seed=seed)
+    config, eta = _settings(args)
+    mask, _ = _mask_for(views, stored_mask, eta, config.seed)
+    report = baseline(views, mask, labels, n_clusters, args.kind, seed=config.seed)
     print(f"{args.kind}: acc={report.acc:.6f} nmi={report.nmi:.6f} ari={report.ari:.6f}")
     return EXIT_OK
 
@@ -524,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--sigma", type=float, required=True)
     gen.add_argument("--seed", type=int)
     gen.add_argument("--eta", type=float, help="also write a mask.csv at this missing rate")
-    gen.add_argument("--transform", choices=("rotation", "none"), default="rotation")
     gen.add_argument("--out", required=True)
     gen.set_defaults(handler=cmd_gen)
 
@@ -533,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.add_argument("--eta", type=float)
     run.add_argument("--seed", type=int)
-    run.add_argument("--ablate", choices=tuple(k for k in ABLATION_MODES if k != "full"))
+    run.add_argument("--ablate", dest="ablation", choices=tuple(k for k in ABLATION_MODES if k != "full"))
     run.add_argument("--dump-embeddings", action="store_true")
     run.add_argument("--save-model", action="store_true")
     _add_train_flags(run)
@@ -583,10 +536,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except IcmvcError as exc:
+    except (IcmvcError, OSError) as exc:  # data problems, and any other library error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +56,14 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def atomic_write(path: Path, text: str):
+    """Write ``text`` to a temporary file beside ``path``, then rename it over
+    ``path``, so no reader sees a half-written file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def write_matrix(path: Path, matrix: np.ndarray, integer: bool = False):
     lines = []
     for row in np.atleast_2d(matrix):
@@ -62,7 +71,7 @@ def write_matrix(path: Path, matrix: np.ndarray, integer: bool = False):
             lines.append(",".join(str(int(v)) for v in row))
         else:
             lines.append(",".join(_format_float(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_matrix(path: Path) -> np.ndarray:
@@ -171,7 +180,7 @@ def save_dataset(path, views: ViewSet, labels: np.ndarray, mask: np.ndarray | No
         "n_clusters": int(np.unique(labels).size),
         "dims": views.dims,
     }
-    (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    atomic_write(path / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return names
 
 
@@ -260,7 +269,6 @@ def synth_blobs(
     n_clusters: int,
     dim: int,
     noise_sigma: float,
-    view_transforms: str = "rotation",
     seed: int = 0,
 ):
     """Cluster-consistent Gaussian blobs, one independent layout per view.
@@ -270,14 +278,12 @@ def synth_blobs(
     the views differ while sharing the label partition. Cluster sizes are
     balanced within one instance.
     """
+    if n_views < 1 or n_clusters < 1 or dim < 1:
+        raise ConfigError(f"need at least 1 view, 1 cluster and 1 dimension, got {n_views}, {n_clusters} and {dim}")
     if n < n_clusters * n_views:
         raise ConfigError(f"need n >= clusters * views, got {n} < {n_clusters * n_views}")
-    if n_views < 1 or dim < 1:
-        raise ConfigError(f"need at least 1 view and 1 dimension, got {n_views} and {dim}")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ConfigError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
-    if view_transforms not in ("rotation", "none"):
-        raise ConfigError(f"unknown view transform {view_transforms!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     counts = np.full(n_clusters, n // n_clusters)
@@ -299,7 +305,5 @@ def synth_blobs(
         if centers is None:
             raise GenerationError("could not separate cluster centers; lower noise_sigma or raise dim")
         points = centers[labels] + noise_sigma * rng.normal(size=(n, dim))
-        if view_transforms == "rotation":
-            points = points @ _random_rotation(rng, dim)
-        matrices.append(points)
+        matrices.append(points @ _random_rotation(rng, dim))
     return ViewSet(matrices), labels

@@ -26,7 +26,6 @@ class MetricsReport:
     nmi: float
     ari: float
     confusion: np.ndarray  # distinct true labels x distinct predicted labels, ascending
-    mapping: dict          # predicted cluster -> matched true cluster
 
     def to_dict(self):
         return {"acc": self.acc, "nmi": self.nmi, "ari": self.ari}
@@ -55,13 +54,6 @@ def _contingency(pred, truth):
     table = np.zeros((truth_values.size, pred_values.size), dtype=np.int64)
     np.add.at(table, (truth_codes, pred_codes), 1)
     return table, truth_values, pred_values
-
-
-def confusion_matrix(pred, truth) -> np.ndarray:
-    """Truth x predicted counts over the labels that occur, in ascending
-    label order; its size follows the number of distinct labels, not their
-    largest value."""
-    return _contingency(pred, truth)[0]
 
 
 def _max_assignment(table):
@@ -161,12 +153,12 @@ def accuracy(pred, truth):
 
 def nmi(pred, truth) -> float:
     """Mutual information over the geometric mean of the two entropies."""
-    return _nmi(confusion_matrix(pred, truth))
+    return _nmi(_contingency(pred, truth)[0])
 
 
 def ari(pred, truth) -> float:
     """Pair-counting adjusted Rand index with zero expectation under chance."""
-    return _ari(confusion_matrix(pred, truth))
+    return _ari(_contingency(pred, truth)[0])
 
 
 def labels_from_assignment(y: np.ndarray) -> np.ndarray:
@@ -179,5 +171,5 @@ def labels_from_assignment(y: np.ndarray) -> np.ndarray:
 
 def evaluate(pred, truth) -> MetricsReport:
     table, truth_values, pred_values = _contingency(pred, truth)
-    acc, mapping = _best_match(table, truth_values, pred_values)
-    return MetricsReport(acc=acc, nmi=_nmi(table), ari=_ari(table), confusion=table, mapping=mapping)
+    acc, _ = _best_match(table, truth_values, pred_values)
+    return MetricsReport(acc=acc, nmi=_nmi(table), ari=_ari(table), confusion=table)

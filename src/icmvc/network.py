@@ -54,14 +54,7 @@ class ModelParams:
     classifier_b: nk.DiffNode
 
     def parameters(self):
-        out = []
-        for weights in self.encoder_weights:
-            out.extend(weights)
-        out.extend(self.fusion.parameters())
-        for head in self.heads:
-            out.extend(head.parameters())
-        out.extend([self.classifier_w, self.classifier_b])
-        return out
+        return [node for _, node in self.named_parameters()]
 
     def named_parameters(self):
         pairs = []
@@ -190,20 +183,19 @@ def forward(params: ModelParams, operators, views, tau_att: float = 1.0):
 # checkpointing
 
 
-def config_digest(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def save_checkpoint(params: ModelParams, path, config: dict | None = None):
-    """One decimal CSV per parameter plus a manifest with shapes."""
+def save_checkpoint(params: ModelParams, path, config: dict | None = None) -> list:
+    """One decimal CSV per parameter plus a manifest with shapes; returns the
+    names of the files written, each prefixed with the directory's own name."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     shapes = {}
     for name, node in params.named_parameters():
         dataio.write_matrix(path / f"{name}.csv", node.value)
         shapes[name] = list(node.value.shape)
-    manifest = {"shapes": shapes, "config_hash": config_digest(config or {})}
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    digest = hashlib.sha256(json.dumps(config or {}, sort_keys=True).encode()).hexdigest()[:16]
+    manifest = {"shapes": shapes, "config_hash": digest}
+    dataio.atomic_write(path / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return [f"{path.name}/{name}.csv" for name in shapes] + [f"{path.name}/manifest.json"]
 
 
 def load_checkpoint(params: ModelParams, path):

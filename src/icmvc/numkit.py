@@ -503,16 +503,13 @@ def zero_grads(params):
 class AdamState:
     """Moment buffers and step counter for bias-corrected Adam."""
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=0.001):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ConfigError(f"betas must lie in (0,1), got {beta1}, {beta2}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.first_moment = [np.zeros_like(p.value) for p in self.params]
         self.second_moment = [np.zeros_like(p.value) for p in self.params]
@@ -527,13 +524,13 @@ def adam_step(state: AdamState, grads=None):
         raise ShapeError("grads length mismatch against optimizer state")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - state.BETA1**t
+    bc2 = 1.0 - state.BETA2**t
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         if p.value.shape != g.shape:
             raise ShapeError(f"grad shape {g.shape} != param shape {p.value.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= state.BETA1
+        m += (1.0 - state.BETA1) * g
+        v *= state.BETA2
+        v += (1.0 - state.BETA2) * (g * g)
+        p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.EPS)

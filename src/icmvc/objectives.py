@@ -56,8 +56,6 @@ def _check_row_stochastic(y: nk.DiffNode, name: str):
 
 def instance_contrastive_loss(z1: nk.DiffNode, z2: nk.DiffNode, tau_instance: float, include_self: bool = True) -> nk.DiffNode:
     """Cross-view alignment of projected embeddings, averaged over 2N anchors."""
-    if tau_instance <= 0:
-        raise ConfigError(f"instance temperature must be positive, got {tau_instance}")
     if z1.value.shape != z2.value.shape:
         raise ContractError(f"projection shapes differ: {z1.value.shape} vs {z2.value.shape}")
     n = z1.value.shape[0]
@@ -78,8 +76,6 @@ def cluster_contrastive_loss(y1: nk.DiffNode, y2: nk.DiffNode, tau_cluster: floa
     the assignment entropies penalizes piling every instance onto one
     cluster.
     """
-    if tau_cluster <= 0:
-        raise ConfigError(f"cluster temperature must be positive, got {tau_cluster}")
     _check_row_stochastic(y1, "Y1")
     _check_row_stochastic(y2, "Y2")
     c = y1.value.shape[1]

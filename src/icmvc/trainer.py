@@ -1,12 +1,14 @@
 """Experiment driver: graph preparation, the full-batch joint training loop,
-ablation switches, and the k-means baselines.
+the named ablations, and the k-means baselines.
 
 One epoch is one Adam step over the whole dataset: encode every view,
-fuse, project, classify, evaluate the enabled loss terms, backpropagate.
+fuse, project, classify, evaluate the loss terms that the config's
+``ablation`` (a key of ``ABLATION_MODES``) enables, backpropagate.
 The guidance target is rebuilt from the current assignments each epoch and
 treated as a constant within the step. Training needs no pretraining and no
 post-hoc clustering while the clustering term is active; with it ablated
-away, final labels come from k-means on the fused representation.
+away (``no-hg-no-clu``), final labels come from k-means on the fused
+representation.
 
 ``prepare()`` builds each view's graph as sorted edge keys and returns the
 propagation operators as ``scipy.sparse`` CSR matrices, which ``train()``
@@ -35,8 +37,8 @@ from .graphs import (
     transfer_relations,
 )
 from .metrics import evaluate, labels_from_assignment
-from .network import AssignmentBundle, forward, init_model
-from .objectives import LossBreakdown, high_confidence_target, total_loss
+from .network import forward, init_model
+from .objectives import high_confidence_target, total_loss
 
 ABLATION_MODES = {
     "full": dict(use_ins=True, use_clu=True, use_hg=True),
@@ -48,6 +50,9 @@ ABLATION_MODES = {
 
 @dataclass
 class TrainConfig:
+    """Every choice one training makes. ``ablation`` names the loss terms it
+    uses: ``full`` (all three), ``no-ins``, ``no-hg`` or ``no-hg-no-clu``."""
+
     knn_k: int = 10
     bandwidth: float | None = None  # None -> per-view median heuristic
     lr: float = 0.001
@@ -59,10 +64,7 @@ class TrainConfig:
     embed_dim: int = 64
     gcn_layers: int = 2
     seed: int = 0
-    use_ins: bool = True
-    use_clu: bool = True
-    use_hg: bool = True
-    include_self: bool = True
+    ablation: str = "full"
 
     def validate(self):
         for name in ("epochs", "knn_k", "hidden_dim", "embed_dim", "gcn_layers"):
@@ -75,27 +77,19 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.use_hg and not self.use_clu:
-            raise ConfigError("the guidance term is only valid together with the clustering term")
+        if self.ablation not in ABLATION_MODES:
+            raise ConfigError(f"ablation must be one of {', '.join(ABLATION_MODES)}, got {self.ablation!r}")
         return self
-
-    def ablation_name(self) -> str:
-        for name, flags in ABLATION_MODES.items():
-            if all(getattr(self, k) == v for k, v in flags.items()):
-                return name
-        return "custom"
 
 
 @dataclass
 class TrainResult:
     labels: np.ndarray
-    assignments: AssignmentBundle  # holds final value arrays
     history: list                  # LossBreakdown per epoch
     metric_history: list           # MetricsReport per epoch, or [] without labels
     embeddings: np.ndarray         # final fused representation
     attention: np.ndarray
     wall_time: float
-    config: TrainConfig
     final_metrics: object = None   # MetricsReport when truth labels were given
     params: object = None          # trained ModelParams, for checkpointing
 
@@ -143,11 +137,12 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
         seed=config.seed,
     )
     optimizer = nk.AdamState(params.parameters(), lr=config.lr)
+    terms = ABLATION_MODES[config.ablation]
 
     history, metric_history = [], []
     for epoch in range(config.epochs):
         emb, asg = forward(params, operators, filled.views, config.tau_attention)
-        target = high_confidence_target(asg.per_view[0], asg.per_view[1], asg.fused) if config.use_hg else None
+        target = high_confidence_target(asg.per_view[0], asg.per_view[1], asg.fused) if terms["use_hg"] else None
         total, breakdown = total_loss(
             emb.projections[0],
             emb.projections[1],
@@ -156,11 +151,8 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
             asg.fused,
             tau_instance=config.tau_instance,
             tau_cluster=config.tau_cluster,
-            use_ins=config.use_ins,
-            use_clu=config.use_clu,
-            use_hg=config.use_hg,
-            include_self=config.include_self,
             target=target,
+            **terms,
         )
         if not np.isfinite(breakdown.total):
             raise DivergenceError(epoch, breakdown)
@@ -172,21 +164,18 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
         if epoch < config.epochs - 1:
             del emb, asg, total  # free this tape before the next forward builds one
 
-    fused_value = asg.fused.value
-    if config.use_clu:
-        final_labels = labels_from_assignment(fused_value)
+    if terms["use_clu"]:
+        final_labels = labels_from_assignment(asg.fused.value)
     else:
         final_labels = kmeans(emb.fused.value, n_clusters, seed=config.seed)
     final_metrics = evaluate(final_labels, labels) if labels is not None else None
     return TrainResult(
         labels=final_labels,
-        assignments=AssignmentBundle(per_view=[y.value for y in asg.per_view], fused=fused_value),
         history=history,
         metric_history=metric_history,
         embeddings=emb.fused.value,
         attention=emb.attention.value,
         wall_time=time.perf_counter() - started,
-        config=config,
         final_metrics=final_metrics,
         params=params,
     )

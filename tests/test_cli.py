@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import multiprocessing
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from icmvc import cli
 from icmvc.cli import _add_train_flags, main
 from icmvc.errors import DivergenceError
+from icmvc.network import init_model, load_checkpoint
 from icmvc.trainer import TrainConfig
 
 FAST = ["--epochs", "4", "--dim", "16", "--embed-dim", "8", "--knn", "4"]
@@ -50,9 +52,11 @@ def test_gen_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_gen_rejects_zero_clusters(tmp_path):
-    rc = main(["gen", "--n", "10", "--clusters", "0", "--dim", "3", "--sigma", "0.1", "--out", str(tmp_path / "x")])
-    assert rc == 2
+def test_gen_rejects_zero_clusters(tmp_path, capsys):
+    for clusters in ("0", "-1"):
+        rc = main(["gen", "--n", "10", "--clusters", clusters, "--dim", "3", "--sigma", "0.1", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "cluster" in capsys.readouterr().err
 
 
 def test_gen_with_eta_writes_mask(tmp_path):
@@ -215,13 +219,40 @@ def test_training_flags_store_into_config_fields():
     assert dests and dests <= {f.name for f in fields(TrainConfig)}
 
 
-@pytest.mark.parametrize("key, value", [("transfer_rule", "copy"), ("target_interval", 1), ("kmeans_restarts", 20)])
+def test_every_config_field_is_set_by_a_run_flag():
+    # the reverse inclusion: a field no flag sets is a knob only a config file can turn
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for action in subparsers.choices["run"]._actions}
+    assert {f.name for f in fields(TrainConfig)} <= dests
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("transfer_rule", "copy"), ("target_interval", 1), ("kmeans_restarts", 20),
+        ("include_self", True), ("use_ins", False), ("use_clu", False), ("use_hg", False),
+    ],
+)
 def test_run_config_file_with_removed_key_exits_2(dataset, tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
     rc = main(["run", "--data", str(dataset), "--eta", "0.3", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert key in capsys.readouterr().err
+
+
+def test_run_config_file_names_an_ablation(dataset, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    run = ["run", "--data", str(dataset), "--eta", "0.3", "--seed", "2", "--config", str(cfg)] + FAST
+    cfg.write_text(json.dumps({"ablation": "custom"}))
+    assert main(run + ["--out", str(tmp_path / "bad")]) == 2
+    assert "ablation" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"ablation": "no-hg"}))
+    out = tmp_path / "nohg"
+    assert main(run + ["--out", str(out)]) == 0
+    assert json.loads((out / "metrics.json").read_text())["ablation"] == "no-hg"
+    _, rows = read_csv_rows(out / "history.csv")
+    assert rows and all(float(r["l_hg"]) == 0.0 for r in rows)
 
 
 @pytest.mark.parametrize(
@@ -327,6 +358,30 @@ def test_training_on_other_than_two_views_exits_3(tmp_path, capsys, command, n_v
     assert f"the dataset has {n_views}" in capsys.readouterr().err
     if n_views == 3:  # the k-means baselines take any view count
         assert main(["baseline", "--data", str(data), "--kind", "concat", "--eta", "0.3", "--seed", "1"]) == 0
+
+
+def test_run_save_model_checksums_a_checkpoint_that_loads(dataset, tmp_path, monkeypatch):
+    trained = []
+
+    def train(*args, **kw):
+        trained.append(real_train(*args, **kw))
+        return trained[-1]
+
+    real_train = cli.train
+    monkeypatch.setattr(cli, "train", train)
+    out = tmp_path / "model"
+    assert main(["run", "--data", str(dataset), "--eta", "0.3", "--seed", "1", "--save-model", "--out", str(out)] + FAST) == 0
+    checksums = json.loads((out / "manifest.json").read_text())["checksums"]
+    names = sorted(str(p.relative_to(out)) for p in (out / "checkpoint").iterdir())
+    assert names and set(names) <= set(checksums)
+    for name, digest in checksums.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    fresh = init_model([4, 4], 3, hidden_dim=16, embed_dim=8, gcn_layers=2, seed=99)
+    load_checkpoint(fresh, out / "checkpoint")
+    restored = fresh.named_parameters()
+    assert len(restored) == len(trained[0].params.named_parameters())
+    for (name, node), (_, want) in zip(restored, trained[0].params.named_parameters()):
+        np.testing.assert_array_equal(node.value, want.value, err_msg=name)
 
 
 def test_run_dump_embeddings_shape(dataset, tmp_path):
@@ -451,7 +506,7 @@ def test_failed_cells_are_reported_and_exit_1(dataset, tmp_path, capsys, monkeyp
     real_train = cli.train
 
     def train(views, mask, n_clusters, config, **kw):
-        if not mask.all() or not config.use_ins:  # every cell at rate 0.3, and the no-ins mode
+        if not mask.all() or config.ablation == "no-ins":  # every cell at rate 0.3, and the no-ins mode
             raise DivergenceError("forced")
         return real_train(views, mask, n_clusters, config, **kw)
 

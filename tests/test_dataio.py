@@ -168,6 +168,9 @@ def test_blobs_validates_arguments():
         dataio.synth_blobs(5, 2, 3, dim=3, noise_sigma=0.1)
     with pytest.raises(ConfigError):
         dataio.synth_blobs(30, 2, 3, dim=3, noise_sigma=-0.5)
+    for n_clusters in (0, -1):  # 0 used to divide by zero and -1 to fail inside numpy
+        with pytest.raises(ConfigError, match="cluster"):
+            dataio.synth_blobs(10, 2, n_clusters, 3, 0.5)
 
 
 # ---------------------------------------------------------------------------

