@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.add_argument("--eta", type=float)
     run.add_argument("--seed", type=int)
-    run.add_argument("--ablate", dest="ablation", choices=tuple(k for k in ABLATION_MODES if k != "full"))
+    run.add_argument("--ablate", dest="ablation", choices=tuple(ABLATION_MODES))
     run.add_argument("--dump-embeddings", action="store_true")
     run.add_argument("--save-model", action="store_true")
     _add_train_flags(run)

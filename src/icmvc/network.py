@@ -99,14 +99,7 @@ def _mlp(rng, d_in: int, d_hidden: int, d_out: int) -> TwoLayerMLP:
     )
 
 
-def init_model(
-    view_dims,
-    n_clusters: int,
-    hidden_dim: int = 128,
-    embed_dim: int = 64,
-    gcn_layers: int = 2,
-    seed: int = 0,
-) -> ModelParams:
+def init_model(view_dims, n_clusters: int, hidden_dim: int, embed_dim: int, gcn_layers: int, seed: int) -> ModelParams:
     """Seeded uniform(+-1/sqrt(fan_in)) weights, zero biases."""
     if gcn_layers < 1:
         raise ConfigError(f"need at least one encoder layer, got {gcn_layers}")
@@ -141,14 +134,12 @@ def encode_view(x: nk.DiffNode, operator, weights) -> nk.DiffNode:
     return h
 
 
-def attention_fuse(per_view, fusion: TwoLayerMLP, tau_att: float = 1.0):
+def attention_fuse(per_view, fusion: TwoLayerMLP, tau_att: float):
     """Per-instance view weights from a gated score head, then a convex mix.
 
     Scores pass through a sigmoid before the temperature softmax, which caps
     the weight ratio between any two views at e**(1/tau).
     """
-    if tau_att <= 0:
-        raise ConfigError(f"attention temperature must be positive, got {tau_att}")
     n_views = len(per_view)
     scores = fusion.apply(nk.concat_cols(per_view))
     if scores.value.shape[1] != n_views:
@@ -166,7 +157,7 @@ def classify(h: nk.DiffNode, classifier_w: nk.DiffNode, classifier_b: nk.DiffNod
     return nk.row_softmax(nk.affine(h, classifier_w, classifier_b), 1.0)
 
 
-def forward(params: ModelParams, operators, views, tau_att: float = 1.0):
+def forward(params: ModelParams, operators, views, tau_att: float):
     """Full pass: encode each view, fuse, project, classify everything."""
     xs = [nk.constant(x) for x in views]
     hs = [encode_view(x, op, w) for x, op, w in zip(xs, operators, params.encoder_weights)]

@@ -246,7 +246,7 @@ def reduce(a: DiffNode, kind: str) -> DiffNode:
     return DiffNode(out, (a,), (vjp,))
 
 
-def row_softmax(a: DiffNode, temperature: float = 1.0) -> DiffNode:
+def row_softmax(a: DiffNode, temperature: float) -> DiffNode:
     """Per-row softmax of ``a / temperature``; rows sum to one."""
     if temperature <= 0:
         raise ConfigError(f"softmax temperature must be positive, got {temperature}")
@@ -284,14 +284,14 @@ def row_l2_normalize(a: DiffNode) -> DiffNode:
     return DiffNode(out, (a,), (vjp,))
 
 
-def contrast_pair(a: DiffNode, b: DiffNode, tau: float, include_self: bool = True) -> DiffNode:
+def contrast_pair(a: DiffNode, b: DiffNode, tau: float) -> DiffNode:
     """NT-Xent loss over both anchor directions (row i of ``a`` and ``b`` are positives), 1x1.
 
     With the unit rows of ``a`` stacked over those of ``b`` as Z (2N x D) and
     E = exp(Z Zᵀ / tau), it is sum_k log r_k - 2 sum_i cos(a_i, b_i) / tau, for
-    r = rowsum(E) clamped to ``EPS``; ``include_self=False`` zeroes E's diagonal.
-    The hand-derived backward runs once, on the first vjp call, for both parents,
-    and then frees E; later calls reuse the cached gradients.
+    r = rowsum(E) clamped to ``EPS``. The hand-derived backward runs once, on the
+    first vjp call, for both parents, and then frees E; later calls reuse the
+    cached gradients.
     """
     if tau <= 0:
         raise ConfigError(f"contrast temperature must be positive, got {tau}")
@@ -306,8 +306,6 @@ def contrast_pair(a: DiffNode, b: DiffNode, tau: float, include_self: bool = Tru
     positives = np.trace(e, offset=n)
     e /= tau
     np.exp(e, out=e)
-    if not include_self:
-        np.fill_diagonal(e, 0.0)
     r = np.maximum(e.sum(axis=1, keepdims=True), EPS)
     value = np.log(r).sum() - 2.0 * positives / tau
     grads = []
@@ -505,7 +503,7 @@ class AdamState:
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr=0.001):
+    def __init__(self, params, lr):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.params = list(params)

@@ -1,15 +1,16 @@
 """The training objective: an instance-level contrastive term over projected
 embeddings, a cluster-level contrastive term over assignment columns with an
 entropy bonus, and a KL guidance term toward a sharpened high-confidence
-target. The three terms are summed with unit weights. Both contrastive
-terms are one fused op, ``nk.contrast_pair``, with an analytic backward; the
-cluster term passes it the transposed assignments.
+target. An ablation (a key of ``ABLATION_MODES``) names the terms that are
+summed, with unit weights. Both contrastive terms are one fused op,
+``nk.contrast_pair``, with an analytic backward; the cluster term passes it
+the transposed assignments.
 
 Conventions tests rely on:
   * similarity s(u, w) is cosine, with zero rows scoring 0 against anything,
   * natural logarithms everywhere,
-  * the same-view denominator sum keeps its j = i term by default
-    (``include_self``), matching the loss definition as written,
+  * the same-view denominator sum keeps its j = i term, matching the loss
+    definition as written,
   * the guidance target is a constant: no gradient flows into the
     assignments it was built from.
 """
@@ -21,7 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
-from .errors import ConfigError, ContractError
+from .errors import ContractError
+
+# the loss terms each ablation sums: instance contrast, cluster contrast, high-confidence guidance
+ABLATION_MODES = {
+    "full": ("ins", "clu", "hg"),
+    "no-ins": ("clu", "hg"),
+    "no-hg": ("ins", "clu"),
+    "no-hg-no-clu": ("ins",),
+}
 
 
 @dataclass
@@ -54,12 +63,12 @@ def _check_row_stochastic(y: nk.DiffNode, name: str):
         raise ContractError(f"{name} is not row-stochastic (row sums off by {np.max(np.abs(sums - 1.0)):.2e})")
 
 
-def instance_contrastive_loss(z1: nk.DiffNode, z2: nk.DiffNode, tau_instance: float, include_self: bool = True) -> nk.DiffNode:
+def instance_contrastive_loss(z1: nk.DiffNode, z2: nk.DiffNode, tau_instance: float) -> nk.DiffNode:
     """Cross-view alignment of projected embeddings, averaged over 2N anchors."""
     if z1.value.shape != z2.value.shape:
         raise ContractError(f"projection shapes differ: {z1.value.shape} vs {z2.value.shape}")
     n = z1.value.shape[0]
-    return nk.contrast_pair(z1, z2, tau_instance, include_self) * (1.0 / (2.0 * n))
+    return nk.contrast_pair(z1, z2, tau_instance) * (1.0 / (2.0 * n))
 
 
 def _column_mean_entropy(y: nk.DiffNode) -> nk.DiffNode:
@@ -68,7 +77,7 @@ def _column_mean_entropy(y: nk.DiffNode) -> nk.DiffNode:
     return nk.unary(nk.reduce(cluster_mass * nk.unary(cluster_mass, "log"), "sum"), "neg")
 
 
-def cluster_contrastive_loss(y1: nk.DiffNode, y2: nk.DiffNode, tau_cluster: float, include_self: bool = True) -> nk.DiffNode:
+def cluster_contrastive_loss(y1: nk.DiffNode, y2: nk.DiffNode, tau_cluster: float) -> nk.DiffNode:
     """Column-wise contrast of assignment vectors plus entropy maximization.
 
     Each column of an assignment matrix collects one cluster's membership
@@ -80,7 +89,7 @@ def cluster_contrastive_loss(y1: nk.DiffNode, y2: nk.DiffNode, tau_cluster: floa
     _check_row_stochastic(y2, "Y2")
     c = y1.value.shape[1]
     cols1, cols2 = nk.transpose(y1), nk.transpose(y2)
-    contrast = nk.contrast_pair(cols1, cols2, tau_cluster, include_self)
+    contrast = nk.contrast_pair(cols1, cols2, tau_cluster)
     entropy = _column_mean_entropy(y1) + _column_mean_entropy(y2)
     return contrast * (1.0 / (2.0 * c)) - entropy
 
@@ -115,47 +124,20 @@ def guidance_loss(y: nk.DiffNode, target: TargetDistribution) -> nk.DiffNode:
     return nk.reduce(p * log_ratio, "sum") * (1.0 / n)
 
 
-def total_loss(
-    z1,
-    z2,
-    y1,
-    y2,
-    y_fused,
-    tau_instance: float = 1.0,
-    tau_cluster: float = 0.5,
-    use_ins: bool = True,
-    use_clu: bool = True,
-    use_hg: bool = True,
-    include_self: bool = True,
-    target: TargetDistribution | None = None,
-):
-    """Unit-weight sum of the enabled terms; returns (node, LossBreakdown).
-
-    The guidance target defaults to a fresh one built from the current
-    assignments; pass ``target`` to reuse a cached distribution.
+def total_loss(z1, z2, y1, y2, y_fused, tau_instance: float, tau_cluster: float, ablation: str, target):
+    """Unit-weight sum of the terms that ``ABLATION_MODES[ablation]`` names;
+    returns (node, LossBreakdown). ``target`` is the ``TargetDistribution``
+    from ``high_confidence_target``, read only when the guidance term is named.
     """
-    if use_hg and not use_clu:
-        raise ConfigError("the guidance term requires the clustering term")
-    parts = []
-    l_ins = l_clu = l_hg = 0.0
-    if use_ins:
-        node = instance_contrastive_loss(z1, z2, tau_instance, include_self)
-        l_ins = float(node.value[0, 0])
-        parts.append(node)
-    if use_clu:
-        node = cluster_contrastive_loss(y1, y2, tau_cluster, include_self)
-        l_clu = float(node.value[0, 0])
-        parts.append(node)
-    if use_hg:
-        if target is None:
-            target = high_confidence_target(y1, y2, y_fused)
-        node = guidance_loss(y_fused, target)
-        l_hg = float(node.value[0, 0])
-        parts.append(node)
-    if parts:
-        total = parts[0]
-        for part in parts[1:]:
-            total = total + part
-    else:
-        total = nk.constant(0.0)
+    parts = {}
+    for term in ABLATION_MODES[ablation]:
+        if term == "ins":
+            parts[term] = instance_contrastive_loss(z1, z2, tau_instance)
+        elif term == "clu":
+            parts[term] = cluster_contrastive_loss(y1, y2, tau_cluster)
+        else:
+            parts[term] = guidance_loss(y_fused, target)
+    nodes = list(parts.values())
+    total = sum(nodes[1:], nodes[0])
+    l_ins, l_clu, l_hg = (float(parts[t].value[0, 0]) if t in parts else 0.0 for t in ("ins", "clu", "hg"))
     return total, LossBreakdown(l_ins=l_ins, l_clu=l_clu, l_hg=l_hg, total=float(total.value[0, 0]))

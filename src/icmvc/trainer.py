@@ -38,14 +38,7 @@ from .graphs import (
 )
 from .metrics import evaluate, labels_from_assignment
 from .network import forward, init_model
-from .objectives import high_confidence_target, total_loss
-
-ABLATION_MODES = {
-    "full": dict(use_ins=True, use_clu=True, use_hg=True),
-    "no-ins": dict(use_ins=False, use_clu=True, use_hg=True),
-    "no-hg": dict(use_ins=True, use_clu=True, use_hg=False),
-    "no-hg-no-clu": dict(use_ins=True, use_clu=False, use_hg=False),
-}
+from .objectives import ABLATION_MODES, high_confidence_target, total_loss
 
 
 @dataclass
@@ -88,7 +81,6 @@ class TrainResult:
     history: list                  # LossBreakdown per epoch
     metric_history: list           # MetricsReport per epoch, or [] without labels
     embeddings: np.ndarray         # final fused representation
-    attention: np.ndarray
     wall_time: float
     final_metrics: object = None   # MetricsReport when truth labels were given
     params: object = None          # trained ModelParams, for checkpointing
@@ -128,43 +120,38 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
         raise ConfigError(f"need at least 2 clusters, got {n_clusters}")
     started = time.perf_counter()
     operators, filled = prepare(views, mask, config)
-    params = init_model(
-        filled.dims,
-        n_clusters,
-        hidden_dim=config.hidden_dim,
-        embed_dim=config.embed_dim,
-        gcn_layers=config.gcn_layers,
-        seed=config.seed,
-    )
-    optimizer = nk.AdamState(params.parameters(), lr=config.lr)
+    params = init_model(filled.dims, n_clusters, config.hidden_dim, config.embed_dim, config.gcn_layers, config.seed)
+    optimizer = nk.AdamState(params.parameters(), config.lr)
     terms = ABLATION_MODES[config.ablation]
 
     history, metric_history = [], []
-    for epoch in range(config.epochs):
-        emb, asg = forward(params, operators, filled.views, config.tau_attention)
-        target = high_confidence_target(asg.per_view[0], asg.per_view[1], asg.fused) if terms["use_hg"] else None
-        total, breakdown = total_loss(
-            emb.projections[0],
-            emb.projections[1],
-            asg.per_view[0],
-            asg.per_view[1],
-            asg.fused,
-            tau_instance=config.tau_instance,
-            tau_cluster=config.tau_cluster,
-            target=target,
-            **terms,
-        )
-        if not np.isfinite(breakdown.total):
-            raise DivergenceError(epoch, breakdown)
-        nk.backward(total)
-        nk.adam_step(optimizer)
-        history.append(breakdown)
-        if labels is not None:
-            metric_history.append(evaluate(labels_from_assignment(asg.fused.value), labels))
-        if epoch < config.epochs - 1:
-            del emb, asg, total  # free this tape before the next forward builds one
+    # overflow past a diverging step is caught below as a non-finite loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            emb, asg = forward(params, operators, filled.views, config.tau_attention)
+            target = high_confidence_target(asg.per_view[0], asg.per_view[1], asg.fused) if "hg" in terms else None
+            total, breakdown = total_loss(
+                emb.projections[0],
+                emb.projections[1],
+                asg.per_view[0],
+                asg.per_view[1],
+                asg.fused,
+                config.tau_instance,
+                config.tau_cluster,
+                config.ablation,
+                target,
+            )
+            if not np.isfinite(breakdown.total):
+                raise DivergenceError(epoch, breakdown)
+            nk.backward(total)
+            nk.adam_step(optimizer)
+            history.append(breakdown)
+            if labels is not None:
+                metric_history.append(evaluate(labels_from_assignment(asg.fused.value), labels))
+            if epoch < config.epochs - 1:
+                del emb, asg, total  # free this tape before the next forward builds one
 
-    if terms["use_clu"]:
+    if "clu" in terms:
         final_labels = labels_from_assignment(asg.fused.value)
     else:
         final_labels = kmeans(emb.fused.value, n_clusters, seed=config.seed)
@@ -174,7 +161,6 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
         history=history,
         metric_history=metric_history,
         embeddings=emb.fused.value,
-        attention=emb.attention.value,
         wall_time=time.perf_counter() - started,
         final_metrics=final_metrics,
         params=params,
@@ -248,7 +234,7 @@ def mean_impute(views: ViewSet, mask: np.ndarray) -> ViewSet:
     return ViewSet(imputed)
 
 
-def baseline(views: ViewSet, mask: np.ndarray, labels: np.ndarray, n_clusters: int, kind: str, seed: int = 0, restarts: int = 20):
+def baseline(views: ViewSet, mask: np.ndarray, labels: np.ndarray, n_clusters: int, kind: str, seed: int = 0):
     """Mean-impute + k-means reference clusterings.
 
     ``bsv`` clusters each view separately and reports the best-scoring one;
@@ -259,11 +245,11 @@ def baseline(views: ViewSet, mask: np.ndarray, labels: np.ndarray, n_clusters: i
     imputed = mean_impute(views, mask)
     if kind == "concat":
         stacked = np.hstack(imputed.views)
-        pred = kmeans(stacked, n_clusters, seed=seed, restarts=restarts)
+        pred = kmeans(stacked, n_clusters, seed=seed)
         return evaluate(pred, labels)
     best = None
     for matrix in imputed.views:
-        pred = kmeans(matrix, n_clusters, seed=seed, restarts=restarts)
+        pred = kmeans(matrix, n_clusters, seed=seed)
         report = evaluate(pred, labels)
         if best is None or report.acc > best.acc:
             best = report

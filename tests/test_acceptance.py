@@ -173,11 +173,11 @@ def test_criterion_1_gradients():
     n, n_clusters, hidden = 8, 3, 16
     worst = 0.0
     for seed, operators, views, params in smooth_fixtures(20, n, n_clusters, hidden):
-        emb0, asg0 = forward(params, operators, views)
+        emb0, asg0 = forward(params, operators, views, 1.0)
         frozen = obj.high_confidence_target(asg0.per_view[0], asg0.per_view[1], asg0.fused)
 
         def losses():
-            emb, asg = forward(params, operators, views)
+            emb, asg = forward(params, operators, views, 1.0)
             l_ins = obj.instance_contrastive_loss(emb.projections[0], emb.projections[1], 1.0)
             l_clu = obj.cluster_contrastive_loss(asg.per_view[0], asg.per_view[1], 0.5)
             l_hg = obj.guidance_loss(asg.fused, frozen)
@@ -250,13 +250,12 @@ def test_criterion_3_loop_oracles():
         for _ in range(3):
             raw = rng.random((n, c)) + 0.05
             ys.append(raw / raw.sum(axis=1, keepdims=True))
-        include = bool(fixture % 2)
 
-        got_ins = float(obj.instance_contrastive_loss(nk.constant(z1), nk.constant(z2), tau_i, include).value[0, 0])
-        assert abs(got_ins - loop_instance_loss(z1.tolist(), z2.tolist(), tau_i, include)) < 1e-12
+        got_ins = float(obj.instance_contrastive_loss(nk.constant(z1), nk.constant(z2), tau_i).value[0, 0])
+        assert abs(got_ins - loop_instance_loss(z1.tolist(), z2.tolist(), tau_i)) < 1e-12
 
-        got_clu = float(obj.cluster_contrastive_loss(nk.constant(ys[0]), nk.constant(ys[1]), tau_c, include).value[0, 0])
-        assert abs(got_clu - loop_cluster_loss(ys[0].tolist(), ys[1].tolist(), tau_c, include)) < 1e-12
+        got_clu = float(obj.cluster_contrastive_loss(nk.constant(ys[0]), nk.constant(ys[1]), tau_c).value[0, 0])
+        assert abs(got_clu - loop_cluster_loss(ys[0].tolist(), ys[1].tolist(), tau_c)) < 1e-12
 
         target = obj.high_confidence_target(*ys)
         got_hg = float(obj.guidance_loss(nk.constant(ys[2]), target).value[0, 0])

@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -178,6 +179,20 @@ def test_run_divergence_exits_4(dataset, tmp_path):
     assert rc == 4
 
 
+def test_run_divergence_prints_only_its_error_line(tmp_path, capsys):
+    data = tmp_path / "blobs"
+    assert main(["gen", "--n", "120", "--clusters", "3", "--dim", "8", "--sigma", "0.5", "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    run = ["run", "--data", str(data), "--eta", "0.3", "--lr", "1e300", "--epochs", "30", "--dim", "32", "--embed-dim", "16"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(run + ["--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite loss"), err
+
+
 def test_run_uses_stored_mask(tmp_path):
     data = tmp_path / "masked"
     assert main(["gen", "--n", "24", "--clusters", "2", "--dim", "3", "--sigma", "0.2", "--seed", "2", "--eta", "0.4", "--out", str(data)]) == 0
@@ -253,6 +268,17 @@ def test_run_config_file_names_an_ablation(dataset, tmp_path, capsys):
     assert json.loads((out / "metrics.json").read_text())["ablation"] == "no-hg"
     _, rows = read_csv_rows(out / "history.csv")
     assert rows and all(float(r["l_hg"]) == 0.0 for r in rows)
+
+
+def test_run_ablate_full_overrides_a_config_file(dataset, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ablation": "no-hg"}))
+    out = tmp_path / "full"
+    run = ["run", "--data", str(dataset), "--eta", "0.3", "--seed", "2", "--config", str(cfg), "--ablate", "full"]
+    assert main(run + ["--out", str(out)] + FAST) == 0
+    assert json.loads((out / "metrics.json").read_text())["ablation"] == "full"
+    _, rows = read_csv_rows(out / "history.csv")
+    assert rows and all(float(r["l_hg"]) != 0.0 for r in rows)
 
 
 @pytest.mark.parametrize(

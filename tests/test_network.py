@@ -128,7 +128,7 @@ def test_attention_equal_scores_give_uniform_weights():
     fusion.w1.value[:] = 0.0
     fusion.w2.value[:] = 0.0
     hs = [nk.constant(np.random.default_rng(4).normal(size=(5, d))) for _ in range(2)]
-    _, lam = net.attention_fuse(hs, fusion)
+    _, lam = net.attention_fuse(hs, fusion, 1.0)
     np.testing.assert_allclose(lam.value, 0.5, atol=1e-12)
 
 
@@ -149,7 +149,7 @@ def test_attention_convex_combination():
     fusion.w2.value[:] = 0.0
     h1 = nk.constant([[2.0, 4.0]])
     h2 = nk.constant([[0.0, 0.0]])
-    fused, lam = net.attention_fuse([h1, h2], fusion)
+    fused, lam = net.attention_fuse([h1, h2], fusion, 1.0)
     np.testing.assert_allclose(lam.value, [[0.5, 0.5]], atol=1e-12)
     np.testing.assert_allclose(fused.value, [[1.0, 2.0]], atol=1e-12)
 
@@ -159,7 +159,7 @@ def test_attention_rows_on_simplex_and_reconstruction():
     d, n, n_views = 6, 9, 3
     fusion = make_fusion(n_views, d, seed=3)
     hs = [nk.constant(rng.normal(size=(n, d))) for _ in range(n_views)]
-    fused, lam = net.attention_fuse(hs, fusion)
+    fused, lam = net.attention_fuse(hs, fusion, 1.0)
     np.testing.assert_allclose(lam.value.sum(axis=1), np.ones(n), atol=1e-9)
     assert np.all(lam.value > 0) and np.all(lam.value < 1)
     manual = sum(lam.value[:, [v]] * hs[v].value for v in range(n_views))
@@ -263,7 +263,7 @@ def tiny_setup(seed=0, n=6, n_clusters=3, hidden=8, embed=4):
 
 def test_forward_shapes():
     params, ops, views = tiny_setup()
-    emb, asg = net.forward(params, ops, views)
+    emb, asg = net.forward(params, ops, views, 1.0)
     assert emb.fused.value.shape == (6, 8)
     assert [z.value.shape for z in emb.projections] == [(6, 4), (6, 4)]
     assert emb.attention.value.shape == (6, 2)
@@ -274,7 +274,7 @@ def test_forward_shapes():
 
 def test_forward_fused_is_convex_combination():
     params, ops, views = tiny_setup(seed=3)
-    emb, _ = net.forward(params, ops, views)
+    emb, _ = net.forward(params, ops, views, 1.0)
     lam = emb.attention.value
     manual = lam[:, [0]] * emb.per_view[0].value + lam[:, [1]] * emb.per_view[1].value
     assert np.max(np.abs(manual - emb.fused.value)) < 1e-9
@@ -282,18 +282,18 @@ def test_forward_fused_is_convex_combination():
 
 def test_classifier_perturbation_moves_all_assignments():
     params, ops, views = tiny_setup(seed=4)
-    _, before = net.forward(params, ops, views)
+    _, before = net.forward(params, ops, views, 1.0)
     params.classifier_w.value[0, 0] += 0.5
-    _, after = net.forward(params, ops, views)
+    _, after = net.forward(params, ops, views, 1.0)
     for y0, y1 in zip(before.per_view + [before.fused], after.per_view + [after.fused]):
         assert np.max(np.abs(y0.value - y1.value)) > 1e-12
 
 
 def test_encoder_perturbation_is_view_local():
     params, ops, views = tiny_setup(seed=5)
-    emb_before, _ = net.forward(params, ops, views)
+    emb_before, _ = net.forward(params, ops, views, 1.0)
     params.encoder_weights[0][0].value = params.encoder_weights[0][0].value + 0.3
-    emb_after, _ = net.forward(params, ops, views)
+    emb_after, _ = net.forward(params, ops, views, 1.0)
     assert np.max(np.abs(emb_before.per_view[0].value - emb_after.per_view[0].value)) > 1e-12
     np.testing.assert_array_equal(emb_before.per_view[1].value, emb_after.per_view[1].value)
 
@@ -304,14 +304,14 @@ def test_full_model_gradients_match_finite_differences():
     params, ops, views = tiny_setup(seed=6, n=5, hidden=6, embed=3)
 
     def build():
-        emb, asg = net.forward(params, ops, views)
+        emb, asg = net.forward(params, ops, views, 1.0)
         total, _ = obj.total_loss(
             emb.projections[0], emb.projections[1], asg.per_view[0], asg.per_view[1], asg.fused,
-            target=frozen_target,
+            1.0, 0.5, "full", frozen_target,
         )
         return total
 
-    emb0, asg0 = net.forward(params, ops, views)
+    emb0, asg0 = net.forward(params, ops, views, 1.0)
     frozen_target = obj.high_confidence_target(asg0.per_view[0], asg0.per_view[1], asg0.fused)
     nk.backward(build())
     for name, node in params.named_parameters():
@@ -325,8 +325,11 @@ def test_sparse_operators_match_dense_in_values_and_gradients():
     params, ops, views = tiny_setup(seed=9, n=12)
     runs = []
     for operators in ([op.toarray() for op in ops], [sparse.csr_matrix(op) for op in ops]):
-        emb, asg = net.forward(params, operators, views)
-        total, _ = obj.total_loss(emb.projections[0], emb.projections[1], asg.per_view[0], asg.per_view[1], asg.fused)
+        emb, asg = net.forward(params, operators, views, 1.0)
+        target = obj.high_confidence_target(asg.per_view[0], asg.per_view[1], asg.fused)
+        total, _ = obj.total_loss(
+            emb.projections[0], emb.projections[1], asg.per_view[0], asg.per_view[1], asg.fused, 1.0, 0.5, "full", target
+        )
         nk.backward(total)
         outputs = emb.per_view + emb.projections + asg.per_view + [emb.fused, emb.attention, asg.fused, total]
         runs.append(([node.value for node in outputs], [node.grad.copy() for node in params.parameters()]))
@@ -341,12 +344,12 @@ def test_sparse_operators_match_dense_in_values_and_gradients():
 
 def test_checkpoint_round_trip(tmp_path):
     params, ops, views = tiny_setup(seed=7)
-    emb_ref, _ = net.forward(params, ops, views)
+    emb_ref, _ = net.forward(params, ops, views, 1.0)
     net.save_checkpoint(params, tmp_path / "ckpt", config={"hidden": 8})
 
     fresh = net.init_model([3, 5], 3, hidden_dim=8, embed_dim=4, gcn_layers=2, seed=999)
     net.load_checkpoint(fresh, tmp_path / "ckpt")
-    emb_new, _ = net.forward(fresh, ops, views)
+    emb_new, _ = net.forward(fresh, ops, views, 1.0)
     np.testing.assert_array_equal(emb_ref.fused.value, emb_new.fused.value)
 
 

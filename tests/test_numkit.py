@@ -237,17 +237,12 @@ def test_backward_never_accumulates_into_a_shared_gradient():
     np.testing.assert_array_equal(w.grad, 4.0 * (1.0 + 2.0 * w.value))
 
 
-@pytest.mark.parametrize(
-    "mode,include_self",
-    [(mode, True) for mode in ("full", "no-ins", "no-hg", "no-hg-no-clu")] + [("full", False)],
-)
-def test_backward_matches_exhaustive_sweep_on_full_model(mode, include_self):
+@pytest.mark.parametrize("mode", ["full", "no-ins", "no-hg", "no-hg-no-clu"])
+def test_backward_matches_exhaustive_sweep_on_full_model(mode):
     from icmvc import network as net
     from icmvc import objectives as obj
     from icmvc.graphs import normalize
-    from icmvc.trainer import ABLATION_MODES
 
-    flags = ABLATION_MODES[mode]
     rng = np.random.default_rng(13)
     n = 12
     views = [rng.normal(size=(n, 3)), rng.normal(size=(n, 5))]
@@ -259,10 +254,10 @@ def test_backward_matches_exhaustive_sweep_on_full_model(mode, include_self):
         np.fill_diagonal(adjacency, 0.0)
         ops.append(normalize(dense_to_keys(adjacency), n))
     params = net.init_model([3, 5], 3, hidden_dim=16, embed_dim=8, gcn_layers=2, seed=13)
-    emb, asg = net.forward(params, ops, views)
+    emb, asg = net.forward(params, ops, views, 1.0)
+    target = obj.high_confidence_target(asg.per_view[0], asg.per_view[1], asg.fused)
     total, _ = obj.total_loss(
-        emb.projections[0], emb.projections[1], asg.per_view[0], asg.per_view[1], asg.fused,
-        include_self=include_self, **flags,
+        emb.projections[0], emb.projections[1], asg.per_view[0], asg.per_view[1], asg.fused, 1.0, 0.5, mode, target
     )
     reference = exhaustive_backward(total)
     nk.backward(total)
@@ -308,9 +303,8 @@ def test_div_clamps_denominator():
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
-@pytest.mark.parametrize("include_self", [True, False])
 @pytest.mark.parametrize("zero_row", [False, True])
-def test_contrast_pair_gradients_match_finite_differences(n, include_self, zero_row):
+def test_contrast_pair_gradients_match_finite_differences(n, zero_row):
     rng = np.random.default_rng(100 + n)
     a = nk.leaf(rng.normal(size=(n, 3)))
     b = nk.leaf(rng.normal(size=(n, 3)))
@@ -318,9 +312,9 @@ def test_contrast_pair_gradients_match_finite_differences(n, include_self, zero_
         a.value[n // 2] = 0.0
 
     def forward():
-        return scalar(nk.contrast_pair(a, b, 0.7, include_self))
+        return scalar(nk.contrast_pair(a, b, 0.7))
 
-    nk.backward(nk.contrast_pair(a, b, 0.7, include_self))
+    nk.backward(nk.contrast_pair(a, b, 0.7))
     # a zero row sits on the normalization's kink: finite differences there
     # are meaningless, and its analytic gradient must be exactly zero
     kept = [i for i in range(n) if not (zero_row and i == n // 2)]
@@ -612,7 +606,7 @@ def test_adam_converges_on_quadratic():
 
 def test_adam_step_count_increments():
     p = nk.leaf(np.zeros((1, 1)))
-    state = nk.AdamState([p])
+    state = nk.AdamState([p], lr=0.1)
     for expected in (1, 2, 3):
         nk.adam_step(state, grads=[np.ones((1, 1))])
         assert state.step_count == expected

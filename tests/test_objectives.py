@@ -77,9 +77,8 @@ def test_instance_loss_matches_loop_oracle():
         z1 = rng.normal(size=(n, d))
         z2 = rng.normal(size=(n, d))
         tau = float(rng.uniform(0.4, 1.5))
-        include = bool(trial % 2)
-        got = scalar(obj.instance_contrastive_loss(nk.constant(z1), nk.constant(z2), tau, include))
-        want = loop_instance_loss(z1.tolist(), z2.tolist(), tau, include)
+        got = scalar(obj.instance_contrastive_loss(nk.constant(z1), nk.constant(z2), tau))
+        want = loop_instance_loss(z1.tolist(), z2.tolist(), tau)
         assert abs(got - want) < 1e-12
 
 
@@ -99,15 +98,13 @@ def test_instance_loss_permutation_invariant():
     assert abs(base - permuted) < 1e-10
 
 
-def _composed_contrast_pair(a, b, tau, include_self):
+def _composed_contrast_pair(a, b, tau):
     """nk.contrast_pair rebuilt from elementary numkit ops, one anchor direction at a time."""
     total = nk.constant(0.0)
     for x, y in ((a, b), (b, a)):
         nx, ny = nk.row_l2_normalize(x), nk.row_l2_normalize(y)
         sim_xy = nk.matmul(nx, nk.transpose(ny))
         exp_xx = nk.unary(nk.matmul(nx, nk.transpose(nx)) * (1.0 / tau), "exp")
-        if not include_self:
-            exp_xx = exp_xx * (1.0 - np.eye(x.shape[0]))
         denom = nk.reduce(exp_xx, "row_sum") + nk.reduce(nk.unary(sim_xy * (1.0 / tau), "exp"), "row_sum")
         total = total + nk.reduce(nk.unary(denom, "log") - nk.diag_col(sim_xy) * (1.0 / tau), "sum")
     return total
@@ -119,15 +116,14 @@ def test_fused_contrast_matches_composed_ops():
         n = int(rng.integers(1, 10))
         d = int(rng.integers(2, 6))
         tau = float(rng.uniform(0.3, 1.5))
-        include = bool(trial % 2)
         data_a, data_b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
         if trial % 4 == 3:
             data_a[n // 2] = 0.0
         fused_a, fused_b = nk.leaf(data_a), nk.leaf(data_b)
-        fused = nk.contrast_pair(fused_a, fused_b, tau, include)
+        fused = nk.contrast_pair(fused_a, fused_b, tau)
         nk.backward(fused)
         composed_a, composed_b = nk.leaf(data_a), nk.leaf(data_b)
-        composed = _composed_contrast_pair(composed_a, composed_b, tau, include)
+        composed = _composed_contrast_pair(composed_a, composed_b, tau)
         nk.backward(composed)
         assert abs(scalar(fused) - scalar(composed)) < 1e-12
         np.testing.assert_allclose(fused_a.grad, composed_a.grad, rtol=0, atol=1e-10)
@@ -171,9 +167,8 @@ def test_cluster_loss_matches_loop_oracle():
         y1 = random_stochastic(rng, n, c)
         y2 = random_stochastic(rng, n, c)
         tau = float(rng.uniform(0.3, 1.2))
-        include = bool(trial % 2)
-        got = scalar(obj.cluster_contrastive_loss(nk.constant(y1), nk.constant(y2), tau, include))
-        want = loop_cluster_loss(y1.tolist(), y2.tolist(), tau, include)
+        got = scalar(obj.cluster_contrastive_loss(nk.constant(y1), nk.constant(y2), tau))
+        want = loop_cluster_loss(y1.tolist(), y2.tolist(), tau)
         assert abs(got - want) < 1e-12
 
 
@@ -296,34 +291,20 @@ def test_total_is_sum_of_parts():
     rng = np.random.default_rng(9)
     z1, z2 = nk.constant(rng.normal(size=(5, 4))), nk.constant(rng.normal(size=(5, 4)))
     ys = [nk.constant(random_stochastic(rng, 5, 3)) for _ in range(3)]
-    _, breakdown = obj.total_loss(z1, z2, *ys)
+    _, breakdown = obj.total_loss(z1, z2, *ys, 1.0, 0.5, "full", obj.high_confidence_target(*ys))
     assert abs(breakdown.total - (breakdown.l_ins + breakdown.l_clu + breakdown.l_hg)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "flags,zeroed",
-    [
-        (dict(use_ins=False), "l_ins"),
-        (dict(use_hg=False), "l_hg"),
-        (dict(use_hg=False, use_clu=False), "l_clu"),
-    ],
-)
-def test_total_ablation_zeroes_terms(flags, zeroed):
+@pytest.mark.parametrize("ablation", list(obj.ABLATION_MODES))
+def test_total_ablation_zeroes_terms(ablation):
     rng = np.random.default_rng(10)
     z1, z2 = nk.constant(rng.normal(size=(4, 3))), nk.constant(rng.normal(size=(4, 3)))
     ys = [nk.constant(random_stochastic(rng, 4, 2)) for _ in range(3)]
-    _, breakdown = obj.total_loss(z1, z2, *ys, **flags)
-    assert getattr(breakdown, zeroed) == 0.0
-    active = [v for k, v in (("l_ins", breakdown.l_ins), ("l_clu", breakdown.l_clu), ("l_hg", breakdown.l_hg)) if k != zeroed]
-    assert abs(breakdown.total - sum(getattr(breakdown, k) for k in ("l_ins", "l_clu", "l_hg"))) < 1e-12
-
-
-def test_total_rejects_guidance_without_clustering():
-    rng = np.random.default_rng(11)
-    z = nk.constant(rng.normal(size=(3, 2)))
-    ys = [nk.constant(random_stochastic(rng, 3, 2)) for _ in range(3)]
-    with pytest.raises(ConfigError):
-        obj.total_loss(z, z, *ys, use_clu=False, use_hg=True)
+    _, breakdown = obj.total_loss(z1, z2, *ys, 1.0, 0.5, ablation, obj.high_confidence_target(*ys))
+    named = obj.ABLATION_MODES[ablation]
+    for term in ("ins", "clu", "hg"):
+        assert (getattr(breakdown, f"l_{term}") != 0.0) == (term in named), term
+    assert abs(breakdown.total - sum(getattr(breakdown, f"l_{term}") for term in named)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
