@@ -25,7 +25,6 @@ from .objectives import (
     LossBreakdown,
     TargetDistribution,
     cluster_contrastive_loss,
-    cosine_similarity_matrix,
     guidance_loss,
     high_confidence_target,
     instance_contrastive_loss,
@@ -50,7 +49,6 @@ __all__ = [
     "labels_from_assignment",
     "LossBreakdown",
     "TargetDistribution",
-    "cosine_similarity_matrix",
     "instance_contrastive_loss",
     "cluster_contrastive_loss",
     "high_confidence_target",

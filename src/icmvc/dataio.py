@@ -142,7 +142,8 @@ def _view_index(path: Path) -> int:
 
 
 def minmax_scale(x: np.ndarray, name: str) -> np.ndarray:
-    """Per-feature scaling to [0, 1]; constant features map to 0.
+    """Per-feature scaling of the rows given to [0, 1]; constant features map
+    to 0. :func:`load_dataset` passes each view's observed rows only.
 
     A feature whose range exceeds the largest float64 cannot be scaled; it
     is a :class:`ParseError` naming the file ``name`` and the column.
@@ -187,9 +188,10 @@ def save_dataset(path, views: ViewSet, labels: np.ndarray, mask: np.ndarray | No
 def load_dataset(path, minmax: bool = False):
     """Read a dataset directory; returns (ViewSet, labels, mask or None).
 
-    With ``minmax`` each view is feature-scaled to [0, 1] after reading.
-    When a mask is present, missing rows are zero-filled on load (after any
-    scaling, so placeholder zeros never leak into feature ranges).
+    With ``minmax`` each view is feature-scaled to [0, 1] by its observed
+    rows only (every row when there is no mask). When a mask is present,
+    missing rows are zero-filled on load, so whatever a missing row holds in
+    the file reaches neither the feature ranges nor the model.
     """
     path = Path(path)
     view_paths = sorted(path.glob("view*.csv"), key=lambda p: (_view_index(p), p.name))
@@ -220,9 +222,13 @@ def load_dataset(path, minmax: bool = False):
         if not mask.any(axis=1).all():
             bad = int(np.where(~mask.any(axis=1))[0][0])
             raise DataError(f"mask.csv: instance {bad} is missing in every view")
+        if not mask.any(axis=0).all():
+            raise DataError(f"mask.csv: view {int(np.argmin(mask.any(axis=0))) + 1} has no observed instance")
 
-    if minmax:
-        matrices = [minmax_scale(m, p.name) for p, m in zip(view_paths, matrices)]
+    if minmax:  # missing rows keep their file values here; zero_fill clears them below
+        for v, (p, m) in enumerate(zip(view_paths, matrices)):
+            observed = mask[:, v] if mask is not None else slice(None)
+            m[observed] = minmax_scale(m[observed], p.name)
     views = ViewSet(matrices)
     if mask is not None:
         views = zero_fill(views, mask)

@@ -25,7 +25,6 @@ class MetricsReport:
     acc: float
     nmi: float
     ari: float
-    confusion: np.ndarray  # distinct true labels x distinct predicted labels, ascending
 
     def to_dict(self):
         return {"acc": self.acc, "nmi": self.nmi, "ari": self.ari}
@@ -172,4 +171,4 @@ def labels_from_assignment(y: np.ndarray) -> np.ndarray:
 def evaluate(pred, truth) -> MetricsReport:
     table, truth_values, pred_values = _contingency(pred, truth)
     acc, _ = _best_match(table, truth_values, pred_values)
-    return MetricsReport(acc=acc, nmi=_nmi(table), ari=_ari(table), confusion=table)
+    return MetricsReport(acc=acc, nmi=_nmi(table), ari=_ari(table))

@@ -126,8 +126,6 @@ def encode_view(x: nk.DiffNode, operator, weights) -> nk.DiffNode:
     hidden), so it carries no skip. Zero-filled missing rows generally become
     nonzero here through neighbor aggregation.
     """
-    if not weights:
-        raise ConfigError("encoder has no layers")
     h = nk.gcn_layer(x, operator, weights[0])
     for w in weights[1:]:
         h = nk.gcn_layer(h, operator, w, residual=True)

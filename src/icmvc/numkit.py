@@ -18,7 +18,7 @@ constant operator (dense or ``scipy.sparse``, never a node), and
 
 Numerical conventions (applied uniformly so downstream losses never see a
 NaN from an in-contract input):
-  * inputs to ``log`` and denominators are clamped to ``EPS = 1e-12``,
+  * inputs to ``log`` and the row sums in :func:`contrast_pair` are clamped to ``EPS = 1e-12``,
   * L2-normalizing an exactly-zero row returns the zero row with zero
     gradient.
 """
@@ -142,13 +142,8 @@ def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
     return DiffNode(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
-def _safe_denominator(x: np.ndarray) -> np.ndarray:
-    # keep the sign, push the magnitude away from zero
-    return np.where(x >= 0, np.maximum(x, EPS), np.minimum(x, -EPS))
-
-
 def elementwise(a: DiffNode, b: DiffNode, kind: str) -> DiffNode:
-    """Pointwise add/sub/mul/div with row- or column-vector broadcasting."""
+    """Pointwise add/sub/mul with row- or column-vector broadcasting."""
     a, b = _ensure(a), _ensure(b)
     av, bv = a.value, b.value
     _check_broadcast(av, bv)
@@ -164,13 +159,6 @@ def elementwise(a: DiffNode, b: DiffNode, kind: str) -> DiffNode:
         vjps = (
             lambda g: _unbroadcast(g * bv, ash),
             lambda g: _unbroadcast(g * av, bsh),
-        )
-    elif kind == "div":
-        safe = _safe_denominator(bv)
-        out = av / safe
-        vjps = (
-            lambda g: _unbroadcast(g / safe, ash),
-            lambda g: _unbroadcast(-g * av / (safe * safe), bsh),
         )
     else:
         raise ConfigError(f"unknown elementwise kind {kind!r}")
@@ -215,32 +203,18 @@ def unary(a: DiffNode, kind: str) -> DiffNode:
 
 
 def reduce(a: DiffNode, kind: str) -> DiffNode:
-    """sum/mean to 1x1, row_sum/row_max to Nx1, col_sum to 1xC."""
+    """sum to 1x1, row_sum to Nx1, col_sum to 1xC."""
     a = _ensure(a)
     av = a.value
-    n, c = av.shape
     if kind == "sum":
         out = np.array([[av.sum()]])
         vjp = lambda g: np.full_like(av, g[0, 0])
-    elif kind == "mean":
-        out = np.array([[av.mean()]])
-        vjp = lambda g: np.full_like(av, g[0, 0] / av.size)
     elif kind == "row_sum":
         out = av.sum(axis=1, keepdims=True)
         vjp = lambda g: np.broadcast_to(g, av.shape).copy()
     elif kind == "col_sum":
         out = av.sum(axis=0, keepdims=True)
         vjp = lambda g: np.broadcast_to(g, av.shape).copy()
-    elif kind == "row_max":
-        idx = av.argmax(axis=1)
-        out = av[np.arange(n), idx].reshape(-1, 1)
-
-        def vjp(g, idx=idx):
-            # ties route the full gradient to the first maximum
-            full = np.zeros_like(av)
-            full[np.arange(n), idx] = g[:, 0]
-            return full
-
     else:
         raise ConfigError(f"unknown reduce kind {kind!r}")
     return DiffNode(out, (a,), (vjp,))

@@ -52,11 +52,6 @@ class LossBreakdown:
         return [self.l_ins, self.l_clu, self.l_hg, self.total]
 
 
-def cosine_similarity_matrix(u: nk.DiffNode, w: nk.DiffNode) -> nk.DiffNode:
-    """All pairwise cosines between rows of u and rows of w."""
-    return nk.matmul(nk.row_l2_normalize(u), nk.transpose(nk.row_l2_normalize(w)))
-
-
 def _check_row_stochastic(y: nk.DiffNode, name: str):
     sums = y.value.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-6:

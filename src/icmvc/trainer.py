@@ -170,8 +170,10 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
 # ---------------------------------------------------------------------------
 # k-means and the naive baselines
 
+KMEANS_MAX_ITER = 300  # Lloyd iterations per restart, unless the labels settle sooner
 
-def kmeans(x: np.ndarray, n_clusters: int, seed: int = 0, restarts: int = 20, max_iter: int = 300) -> np.ndarray:
+
+def kmeans(x: np.ndarray, n_clusters: int, seed: int = 0, restarts: int = 20) -> np.ndarray:
     """Lloyd iterations with distance-weighted seeding, best of ``restarts``."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -182,7 +184,7 @@ def kmeans(x: np.ndarray, n_clusters: int, seed: int = 0, restarts: int = 20, ma
     for _ in range(max(1, restarts)):
         centers = _seed_centers(x, n_clusters, rng)
         labels = None
-        for _iteration in range(max_iter):
+        for _iteration in range(KMEANS_MAX_ITER):
             distances = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = distances.argmin(axis=1)
             if labels is not None and np.array_equal(new_labels, labels):

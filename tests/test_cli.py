@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from icmvc import cli
 from icmvc.cli import _add_train_flags, main
+from icmvc.dataio import read_matrix, write_matrix
 from icmvc.errors import DivergenceError
 from icmvc.network import init_model, load_checkpoint
 from icmvc.trainer import TrainConfig
@@ -171,11 +172,10 @@ def test_run_without_eta_or_mask_exits_2(dataset, tmp_path):
 
 
 def test_run_divergence_exits_4(dataset, tmp_path):
-    with np.errstate(over="ignore"):
-        rc = main(
-            ["run", "--data", str(dataset), "--eta", "0.3", "--seed", "1", "--tau-i", "1e-5", "--out", str(tmp_path / "o")]
-            + FAST
-        )
+    rc = main(
+        ["run", "--data", str(dataset), "--eta", "0.3", "--seed", "1", "--tau-i", "1e-5", "--out", str(tmp_path / "o")]
+        + FAST
+    )
     assert rc == 4
 
 
@@ -201,6 +201,31 @@ def test_run_uses_stored_mask(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["mask_source"] == "mask.csv"
+
+
+def test_run_ignores_what_missing_rows_hold(tmp_path):
+    data = tmp_path / "masked"
+    assert main(["gen", "--n", "36", "--clusters", "3", "--dim", "4", "--sigma", "0.4", "--seed", "1", "--eta", "0.4", "--out", str(data)]) == 0
+    missing = ~read_matrix(data / "mask.csv").astype(bool)
+    histories = set()
+    for placeholder in (None, 0.0, 1e3):  # None keeps the real values gen wrote
+        if placeholder is not None:
+            for v in (0, 1):
+                view = read_matrix(data / f"view{v + 1}.csv")
+                view[missing[:, v]] = placeholder
+                write_matrix(data / f"view{v + 1}.csv", view)
+        out = tmp_path / f"run{placeholder}"
+        assert main(["run", "--data", str(data), "--seed", "0", "--out", str(out)] + FAST) == 0
+        histories.add((out / "history.csv").read_bytes())
+    assert len(histories) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_mask_column_with_no_observed_instance_exits_3_before_training(dataset, tmp_path, capsys, monkeypatch, command):
+    (dataset / "mask.csv").write_text("1,0\n" * 36)
+    monkeypatch.setattr(cli, "train", lambda *args, **kw: pytest.fail("a cell trained"))
+    assert main([command, "--data", str(dataset), "--out", str(tmp_path / "o")] + FAST) == 3
+    assert "view 2 has no observed instance" in capsys.readouterr().err
 
 
 def test_run_env_seed_and_flag_override(dataset, tmp_path, monkeypatch):

@@ -80,6 +80,32 @@ def test_minmax_scaling(tmp_path):
         assert matrix.min() >= 0.0 and matrix.max() <= 1.0
 
 
+def test_minmax_scales_by_observed_rows_only(tmp_path):
+    mask = np.ones((4, 2), dtype=bool)
+    mask[[0, 2], 1] = False
+    scaled = []
+    for placeholder in (None, 0.0, 1e3, -1e308):  # None keeps the real values
+        views = toy_views()
+        if placeholder is not None:
+            views.views[1][~mask[:, 1]] = placeholder
+        dataio.save_dataset(tmp_path, views, labels=np.zeros(4), mask=mask)
+        scaled.append(dataio.load_dataset(tmp_path, minmax=True)[0].views[1])
+    observed = scaled[0][mask[:, 1]]
+    np.testing.assert_array_equal(observed.min(axis=0), 0.0)
+    np.testing.assert_array_equal(observed.max(axis=0), 1.0)
+    np.testing.assert_array_equal(scaled[0][~mask[:, 1]], 0.0)
+    for other in scaled[1:]:
+        np.testing.assert_array_equal(other, scaled[0])
+
+
+def test_mask_column_with_no_observed_instance_is_a_data_error(tmp_path):
+    mask = np.ones((4, 2), dtype=bool)
+    mask[:, 1] = False
+    dataio.save_dataset(tmp_path, toy_views(), labels=np.zeros(4), mask=mask)
+    with pytest.raises(DataError, match="view 2 has no observed instance"):
+        dataio.load_dataset(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # make_mask
 

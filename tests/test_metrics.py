@@ -236,5 +236,4 @@ def test_evaluate_report_fields():
     pred = np.array([1, 1, 0, 0])
     report = metrics.evaluate(pred, truth)
     assert report.acc == 1.0 and report.nmi == 1.0 and report.ari == 1.0
-    assert report.confusion.shape == (2, 2)
     assert report.to_dict() == {"acc": 1.0, "nmi": 1.0, "ari": 1.0}

@@ -103,11 +103,6 @@ def test_encode_view_matches_straight_line_reimplementation():
     np.testing.assert_allclose(out.value, straight_line_encode(x, op, weights), atol=1e-14)
 
 
-def test_encode_view_requires_layers():
-    with pytest.raises(ConfigError):
-        net.encode_view(nk.constant(np.ones((2, 2))), np.eye(2), [])
-
-
 # ---------------------------------------------------------------------------
 # attention fusion
 

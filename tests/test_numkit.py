@@ -64,7 +64,6 @@ def test_relu_sign_split():
         ("add", [[1.0, 2.0]], [[3.0, 4.0]], [[4.0, 6.0]]),
         ("sub", [[1.0, 2.0]], [[3.0, 4.0]], [[-2.0, -2.0]]),
         ("mul", [[1.0, 2.0]], [[3.0, 4.0]], [[3.0, 8.0]]),
-        ("div", [[8.0, 9.0]], [[2.0, 3.0]], [[4.0, 3.0]]),
     ],
 )
 def test_elementwise_values(kind, a, b, expected):
@@ -97,10 +96,8 @@ def test_elementwise_incompatible_shapes():
 def test_reduce_kinds():
     m = nk.constant([[1.0, 2.0], [3.0, 4.0]])
     assert scalar(nk.reduce(m, "sum")) == 10.0
-    assert scalar(nk.reduce(m, "mean")) == 2.5
     np.testing.assert_array_equal(nk.reduce(m, "row_sum").value, [[3.0], [7.0]])
     np.testing.assert_array_equal(nk.reduce(m, "col_sum").value, [[4.0, 6.0]])
-    np.testing.assert_array_equal(nk.reduce(m, "row_max").value, [[2.0], [4.0]])
 
 
 def test_row_softmax_symmetry():
@@ -291,11 +288,6 @@ def test_random_composition_gradients_match_finite_differences():
 def test_log_clamps_at_epsilon():
     out = nk.unary(nk.constant([[0.0]]), "log")
     assert out.value[0, 0] == math.log(nk.EPS)
-
-
-def test_div_clamps_denominator():
-    out = nk.elementwise(nk.constant([[1.0]]), nk.constant([[0.0]]), "div")
-    assert np.isfinite(out.value[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,33 +26,6 @@ def random_stochastic(rng, n, c):
 
 
 # ---------------------------------------------------------------------------
-# cosine similarity
-
-
-def test_cosine_self_similarity_is_one():
-    u = nk.constant([[3.0, 4.0]])
-    assert abs(scalar(obj.cosine_similarity_matrix(u, u)) - 1.0) < 1e-12
-
-
-def test_cosine_orthogonal_rows():
-    u = nk.constant([[1.0, 0.0]])
-    w = nk.constant([[0.0, 2.0]])
-    assert abs(scalar(obj.cosine_similarity_matrix(u, w))) < 1e-15
-
-
-def test_cosine_hand_value():
-    u = nk.constant([[1.0, 0.0]])
-    w = nk.constant([[1.0, 1.0]])
-    assert abs(scalar(obj.cosine_similarity_matrix(u, w)) - 1.0 / math.sqrt(2)) < 1e-12
-
-
-def test_cosine_zero_row_convention():
-    u = nk.constant([[0.0, 0.0]])
-    w = nk.constant([[1.0, 1.0]])
-    assert scalar(obj.cosine_similarity_matrix(u, w)) == 0.0
-
-
-# ---------------------------------------------------------------------------
 # instance contrastive loss
 
 

@@ -135,7 +135,7 @@ def test_train_requires_two_views():
 def test_train_divergence_aborts_with_epoch():
     views, mask, _ = small_problem()
     config = small_config(tau_instance=1e-4)  # exp(1/tau) overflows
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+    with pytest.raises(DivergenceError) as info:
         train(views, mask, 3, config)
     assert info.value.epoch == 0
 
