@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (
-    MASK_PRNG, atomic_write, load_dataset, make_mask, read_labels, save_dataset, synth_blobs, write_matrix,
+    MASK_PRNG, atomic_write, check_mask, load_dataset, make_mask, read_labels, save_dataset, synth_blobs, write_matrix,
 )
 from .errors import ConfigError, DataError, DivergenceError, FormatError, IcmvcError
 from .metrics import evaluate
@@ -78,7 +78,7 @@ def _parse_list(text: str, flag: str, kind) -> list:
 
 def _parse_seeds(text) -> list:
     """The ``--seeds`` list of sweep and ablate, checked before any cell runs."""
-    seeds = _parse_list(text, "--seeds", int) if text else list(DEFAULT_SWEEP_SEEDS)
+    seeds = _parse_list(text, "--seeds", int) if text is not None else list(DEFAULT_SWEEP_SEEDS)
     for seed in seeds:
         if seed < 0:
             raise ConfigError(f"--seeds: seeds must be non-negative, got {seed}")
@@ -223,7 +223,7 @@ def cmd_run(args) -> int:
 def cmd_gen(args) -> int:
     seed = resolve_seed(args)
     views, labels = synth_blobs(args.n, args.views, args.clusters, args.dim, args.sigma, seed=seed)
-    mask = None if args.eta is None else make_mask(args.n, args.views, args.eta, seed)
+    mask = None if args.eta is None else check_mask(make_mask(args.n, args.views, args.eta, seed))
     out_dir = Path(args.out)
     written = save_dataset(out_dir, views, labels, mask=mask)
     spec = {
@@ -380,7 +380,7 @@ def cmd_sweep(args) -> int:
     views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, config)
     if stored_mask is not None:
         raise ConfigError(f"{args.data} has a mask.csv: sweep sets the missing rates itself, from --etas")
-    etas = _parse_list(args.etas, "--etas", float) if args.etas else list(DEFAULT_ETAS)
+    etas = _parse_list(args.etas, "--etas", float) if args.etas is not None else list(DEFAULT_ETAS)
     seeds = _parse_seeds(args.seeds)
     grid = [(eta, replace(config, seed=seed)) for eta in etas for seed in seeds]
     outcomes, parallelism = _run_grid(views, labels, n_clusters, None, grid)
@@ -392,9 +392,9 @@ def cmd_sweep(args) -> int:
     for eta, n_ok, stats in _summaries([eta for eta, _ in grid], outcomes, sorted(set(etas))):
         lines.append(",".join(["aggregate", _fmt(eta), "", f"ok={n_ok}", "", "", ""] + [_fmt(v) for v in stats]))
         summary.append(f"eta={eta:.2f} acc_mean={'n/a' if stats[0] is None else f'{stats[0]:.4f}'} ({n_ok} ok)")
+    manifest_config = dict(asdict(config), etas=etas, seeds=seeds, mask_source=MASK_PRNG)
     return _finish_grid(
-        args, "sweep", "sweep.csv", lines, dict(asdict(config), etas=etas, seeds=seeds), parallelism, outcomes,
-        summary, "cells failed",
+        args, "sweep", "sweep.csv", lines, manifest_config, parallelism, outcomes, summary, "cells failed"
     )
 
 
@@ -402,6 +402,7 @@ def cmd_ablate(args) -> int:
     base, eta = _settings(args)
     views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, base)
     seeds = _parse_seeds(args.seeds)
+    mask_source = _mask_for(views, stored_mask, eta, base.seed)[1]  # the same for every cell
     grid = [(eta, replace(base, seed=seed, ablation=mode)) for mode in ABLATION_MODES for seed in seeds]
     outcomes, parallelism = _run_grid(views, labels, n_clusters, stored_mask, grid)
     lines = ["config,acc_mean,acc_std,nmi_mean,nmi_std,ari_mean,ari_std"]
@@ -417,9 +418,9 @@ def cmd_ablate(args) -> int:
                 "warning: full model mean ACC fell more than 0.02 below the no-ins ablation",
                 file=sys.stderr,
             )
+    manifest_config = dict(asdict(base), eta=eta, seeds=seeds, mask_source=mask_source)
     return _finish_grid(
-        args, "ablate", "ablation.csv", lines, dict(asdict(base), eta=eta, seeds=seeds), parallelism, outcomes,
-        summary, "ablation cells failed",
+        args, "ablate", "ablation.csv", lines, manifest_config, parallelism, outcomes, summary, "ablation cells failed"
     )
 
 

@@ -218,12 +218,7 @@ def load_dataset(path, minmax: bool = False):
             raise FormatError(f"mask.csv: shape {raw.shape}, expected ({n}, {len(matrices)})")
         if not np.isin(raw, (0.0, 1.0)).all():
             raise FormatError("mask.csv: entries must be 0 or 1")
-        mask = raw.astype(bool)
-        if not mask.any(axis=1).all():
-            bad = int(np.where(~mask.any(axis=1))[0][0])
-            raise DataError(f"mask.csv: instance {bad} is missing in every view")
-        if not mask.any(axis=0).all():
-            raise DataError(f"mask.csv: view {int(np.argmin(mask.any(axis=0))) + 1} has no observed instance")
+        mask = check_mask(raw.astype(bool))
 
     if minmax:  # missing rows keep their file values here; zero_fill clears them below
         for v, (p, m) in enumerate(zip(view_paths, matrices)):
@@ -233,6 +228,16 @@ def load_dataset(path, minmax: bool = False):
     if mask is not None:
         views = zero_fill(views, mask)
     return views, labels, mask
+
+
+def check_mask(mask: np.ndarray) -> np.ndarray:
+    """Return ``mask``; raise :class:`DataError` when no training can use it:
+    an instance is missing in every view, or a view has no observed instance."""
+    if not mask.any(axis=1).all():
+        raise DataError(f"mask.csv: instance {int(np.argmin(mask.any(axis=1)))} is missing in every view")
+    if not mask.any(axis=0).all():
+        raise DataError(f"mask.csv: view {int(np.argmin(mask.any(axis=0))) + 1} has no observed instance")
+    return mask
 
 
 def make_mask(n: int, n_views: int, eta: float, seed: int) -> np.ndarray:
@@ -298,18 +303,19 @@ def synth_blobs(
 
     spread = max(1.0, 4.0 * noise_sigma)
     matrices = []
-    for _ in range(n_views):
-        centers = None
-        for _attempt in range(100):
-            candidate = rng.normal(size=(n_clusters, dim)) * spread
-            diff = candidate[:, None, :] - candidate[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=2))
-            np.fill_diagonal(dist, np.inf)
-            if dist.min() >= 6.0 * noise_sigma:
-                centers = candidate
-                break
-        if centers is None:
-            raise GenerationError("could not separate cluster centers; lower noise_sigma or raise dim")
-        points = centers[labels] + noise_sigma * rng.normal(size=(n, dim))
-        matrices.append(points @ _random_rotation(rng, dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge sigma: rejected by the search or the check below
+        for _ in range(n_views):
+            for _attempt in range(100):
+                centers = rng.normal(size=(n_clusters, dim)) * spread
+                diff = centers[:, None, :] - centers[None, :, :]
+                dist = np.sqrt((diff**2).sum(axis=2))
+                np.fill_diagonal(dist, np.inf)
+                if dist.min() >= 6.0 * noise_sigma:
+                    break
+            else:
+                raise GenerationError("could not separate cluster centers; lower noise_sigma or raise dim")
+            points = centers[labels] + noise_sigma * rng.normal(size=(n, dim))
+            matrices.append(points @ _random_rotation(rng, dim))
+    if not all(np.isfinite(m).all() for m in matrices):
+        raise GenerationError(f"noise_sigma {noise_sigma!r} overflows float64; lower noise_sigma")
     return ViewSet(matrices), labels

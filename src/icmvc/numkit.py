@@ -10,11 +10,11 @@ constants never hold a gradient (reverse-mode activity analysis). The engine
 is eager; the gradients of active leaves are the same numbers that running
 every vjp into zero-filled buffers would give. Only leaves keep ``grad``
 after :func:`backward`: an interior node's is freed once its vjps have run.
-The fused ops are one node each with a hand-written backward that frees its
-buffers (the relu-masked upstream, the contrast matrix) once used: :func:`affine`
-for a dense layer, :func:`gcn_layer` for a graph-convolution layer over a
-constant operator (dense or ``scipy.sparse``, never a node), and
-:func:`contrast_pair` for a whole contrastive loss.
+The fused ops are one node each whose hand-written vjps read only the upstream
+gradient and arrays the forward saved: :func:`affine` for a dense layer,
+:func:`gcn_layer` for a graph-convolution layer over a constant operator (dense
+or ``scipy.sparse``, never a node), and :func:`contrast_pair` for a whole
+contrastive loss, which computes its gradients in the forward and frees E.
 
 Numerical conventions (applied uniformly so downstream losses never see a
 NaN from an in-contract input):
@@ -263,9 +263,9 @@ def contrast_pair(a: DiffNode, b: DiffNode, tau: float) -> DiffNode:
 
     With the unit rows of ``a`` stacked over those of ``b`` as Z (2N x D) and
     E = exp(Z Zᵀ / tau), it is sum_k log r_k - 2 sum_i cos(a_i, b_i) / tau, for
-    r = rowsum(E) clamped to ``EPS``. The hand-derived backward runs once, on the
-    first vjp call, for both parents, and then frees E; later calls reuse the
-    cached gradients.
+    r = rowsum(E) clamped to ``EPS``. The forward also runs the hand-derived
+    backward for both parents and frees E before it returns; each vjp only
+    scales its saved gradient.
     """
     if tau <= 0:
         raise ConfigError(f"contrast temperature must be positive, got {tau}")
@@ -282,47 +282,21 @@ def contrast_pair(a: DiffNode, b: DiffNode, tau: float) -> DiffNode:
     np.exp(e, out=e)
     r = np.maximum(e.sum(axis=1, keepdims=True), EPS)
     value = np.log(r).sum() - 2.0 * positives / tau
-    grads = []
-
-    def unit_grads():
-        # dL/dZ = (E Z / r + E (Z / r) - 2 [Z_b; Z_a]) / tau, as E is symmetric
-        nonlocal e
-        if not grads:
-            inv = 1.0 / r
-            ez, ez_inv = np.hsplit(e @ np.hstack([z, inv * z]), 2)
-            e = None  # the 2N x 2N buffer is spent: later sweeps reuse these gradients
-            dz = (inv * ez + ez_inv - 2.0 * np.roll(z, n, axis=0)) / tau
-            grads.extend((unit_vjp_a(dz[:n]), unit_vjp_b(dz[n:])))
-        return grads
-
+    # dL/dZ = (E Z / r + E (Z / r) - 2 [Z_b; Z_a]) / tau, as E is symmetric
+    inv = 1.0 / r
+    ez, ez_inv = np.hsplit(e @ np.hstack([z, inv * z]), 2)
+    del e  # spent: freed now, not at return, lowers the epoch's peak
+    dz = (inv * ez + ez_inv - 2.0 * np.roll(z, n, axis=0)) / tau
+    grad_a, grad_b = unit_vjp_a(dz[:n]), unit_vjp_b(dz[n:])
     # a fresh array per call: backward() keeps the first contribution as given
-    return DiffNode([[value]], (a, b), (lambda g: g[0, 0] * unit_grads()[0], lambda g: g[0, 0] * unit_grads()[1]))
-
-
-def _masked_upstream(positive: np.ndarray, parents):
-    """The relu vjp ``g -> g * positive`` as ``masked(g, index)``, called by
-    the vjp of parent ``index``. Within one backward sweep every vjp of a node
-    receives the same ``g``, so the product is computed once; it is dropped
-    after the vjp of the last active parent, the last one a sweep runs."""
-    last = max((i for i, parent in enumerate(parents) if parent.active), default=None)
-    memo = [None, None]
-
-    def masked(g, index):
-        if memo[0] is not g:
-            memo[0], memo[1] = g, g * positive
-        out = memo[1]
-        if index == last:
-            memo[0] = memo[1] = None
-        return out
-
-    return masked
+    return DiffNode([[value]], (a, b), (lambda g: g[0, 0] * grad_a, lambda g: g[0, 0] * grad_b))
 
 
 def affine(x: DiffNode, w: DiffNode, b: DiffNode, act: str | None = None) -> DiffNode:
     """``act(x @ w + b)`` as one node, for a 1 x C bias row and ``act`` None or ``"relu"``.
 
-    The backward applies the relu mask to the upstream gradient once and
-    shares it between the three vjps; each returns a fresh array.
+    With relu, the node keeps the bool mask of its positive outputs, and each
+    vjp applies it to the upstream gradient; each returns a fresh array.
     """
     x, w, b = _ensure(x), _ensure(w), _ensure(b)
     xv, wv = x.value, w.value
@@ -331,16 +305,17 @@ def affine(x: DiffNode, w: DiffNode, b: DiffNode, act: str | None = None) -> Dif
     out = xv @ wv
     out += b.value
     if act is None:
-        masked = lambda g, index: g
+        masked = lambda g: g
     elif act == "relu":
         np.maximum(out, 0.0, out=out)
-        masked = _masked_upstream(out > 0, (x, w, b))
+        positive = out > 0
+        masked = lambda g: g * positive
     else:
         raise ConfigError(f"unknown affine activation {act!r}")
     vjps = (
-        lambda g: masked(g, 0) @ wv.T,
-        lambda g: xv.T @ masked(g, 1),
-        lambda g: masked(g, 2).sum(axis=0, keepdims=True),
+        lambda g: masked(g) @ wv.T,
+        lambda g: xv.T @ masked(g),
+        lambda g: masked(g).sum(axis=0, keepdims=True),
     )
     return DiffNode(out, (x, w, b), vjps)
 
@@ -361,13 +336,13 @@ def gcn_layer(h: DiffNode, operator, w: DiffNode, residual: bool = False) -> Dif
     propagated = operator @ hv  # kept for the weight vjp
     out = propagated @ wv
     np.maximum(out, 0.0, out=out)
-    masked = _masked_upstream(out > 0, (h, w))
+    positive = out > 0
     if residual:
         out += hv
-        vjp_h = lambda g: operator.T @ (masked(g, 0) @ wv.T) + g
+        vjp_h = lambda g: operator.T @ ((g * positive) @ wv.T) + g
     else:
-        vjp_h = lambda g: operator.T @ (masked(g, 0) @ wv.T)
-    return DiffNode(out, (h, w), (vjp_h, lambda g: propagated.T @ masked(g, 1)))
+        vjp_h = lambda g: operator.T @ ((g * positive) @ wv.T)
+    return DiffNode(out, (h, w), (vjp_h, lambda g: propagated.T @ (g * positive)))
 
 
 def concat_cols(nodes) -> DiffNode:

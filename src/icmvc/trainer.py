@@ -145,6 +145,7 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
                 raise DivergenceError(epoch, breakdown)
             nk.backward(total)
             nk.adam_step(optimizer)
+            nk.zero_grads(optimizer.params)  # spent: the next forward need not hold them
             history.append(breakdown)
             if labels is not None:
                 metric_history.append(evaluate(labels_from_assignment(asg.fused.value), labels))

@@ -168,6 +168,7 @@ def straight_line_losses(weights, operators, views, frozen_p, tau_i=1.0, tau_c=0
     return l_ins, l_clu, l_hg, l_ins + l_clu + l_hg
 
 
+@pytest.mark.slow
 def test_criterion_1_gradients():
     started = time.perf_counter()
     n, n_clusters, hidden = 8, 3, 16
@@ -326,6 +327,7 @@ def test_criterion_5_metric_oracles():
 # 6. end-to-end synthetic benchmark
 
 
+@pytest.mark.slow
 def test_criterion_6_benchmark(runs_eta03):
     accs, baselines = [], []
     for seed in BENCH_SEEDS:
@@ -346,6 +348,7 @@ def test_criterion_6_benchmark(runs_eta03):
 # 7. missing-rate robustness echo
 
 
+@pytest.mark.slow
 def test_criterion_7_missing_rate_echo(runs_eta03, runs_eta0):
     acc_missing = np.mean([runs_eta03[s][3].final_metrics.acc for s in SWEEP_SEEDS])
     acc_complete = np.mean([runs_eta0[s][3].final_metrics.acc for s in SWEEP_SEEDS])
@@ -358,6 +361,7 @@ def test_criterion_7_missing_rate_echo(runs_eta03, runs_eta0):
 # 8. convergence echo
 
 
+@pytest.mark.slow
 def test_criterion_8_convergence(runs_eta03):
     for seed in BENCH_SEEDS:
         history = runs_eta03[seed][3].history
@@ -371,6 +375,7 @@ def test_criterion_8_convergence(runs_eta03):
 # 9. determinism of the CLI artifacts
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(tmp_path):
     data = tmp_path / "bench"
     rc = cli_main(
@@ -390,6 +395,7 @@ def test_criterion_9_determinism(tmp_path):
 # 10. ablation harness
 
 
+@pytest.mark.slow
 def test_criterion_10_ablation_harness(tmp_path):
     data = tmp_path / "bench"
     rc = cli_main(

@@ -81,6 +81,16 @@ def test_gen_over_an_older_dataset_leaves_none_of_its_files(tmp_path):
     assert json.loads((run / "manifest.json").read_text())["config"]["mask_source"] != "mask.csv"
 
 
+def test_gen_refuses_a_mask_its_loader_rejects(tmp_path, capsys):
+    # at --eta 1.0 both rows lose a view, and on these seeds they lose the same one
+    out = tmp_path / "d"
+    for seed in ("1", "2", "3", "4"):
+        args = ["gen", "--n", "2", "--clusters", "1", "--dim", "2", "--sigma", "0.5", "--eta", "1.0", "--seed", seed]
+        assert main(args + ["--out", str(out)]) == 3
+        assert "has no observed instance" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -348,6 +358,9 @@ def test_malformed_list_flag_or_config_value_exits_2(dataset, tmp_path, capsys, 
         ("gen", ["--sigma", "nan"], None, None, "noise_sigma"),
         ("sweep", ["--etas", ","], None, None, "--etas"),
         ("ablate", ["--seeds", ","], None, None, "--seeds"),
+        ("sweep", ["--etas", ""], None, None, "--etas"),
+        ("sweep", ["--seeds", ""], None, None, "--seeds"),
+        ("ablate", ["--seeds", ""], None, None, "--seeds"),
     ],
 )
 def test_out_of_domain_argument_exits_2(dataset, tmp_path, capsys, monkeypatch, command, extra, env_seed, config, named):
@@ -551,6 +564,21 @@ def test_grid_manifest_has_no_seed_and_a_peak_rss(dataset, tmp_path, monkeypatch
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert "seed" not in manifest["config"] and manifest["config"]["seeds"] == [1]
     assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
+
+
+def test_grid_manifests_name_the_mask_source(dataset, tmp_path):
+    masked = tmp_path / "masked"
+    gen = ["gen", "--n", "36", "--clusters", "3", "--dim", "4", "--sigma", "0.4", "--seed", "1", "--eta", "0.3"]
+    assert main(gen + ["--out", str(masked)]) == 0
+    runs = [
+        ("mask.csv", ["ablate", "--data", str(masked), "--eta", "0.7"]),  # every cell trains on mask.csv
+        ("pcg64", ["ablate", "--data", str(dataset), "--eta", "0.3"]),
+        ("pcg64", ["sweep", "--data", str(dataset), "--etas", "0.3"]),
+    ]
+    for i, (source, args) in enumerate(runs):
+        out = tmp_path / f"o{i}"
+        assert main(args + ["--seeds", "1", "--out", str(out)] + FAST) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["mask_source"] == source
 
 
 def test_failed_cells_are_reported_and_exit_1(dataset, tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from icmvc import dataio
-from icmvc.errors import ConfigError, DataError, FormatError, ParseError
+from icmvc.errors import ConfigError, DataError, FormatError, GenerationError, ParseError
 
 
 def toy_views():
@@ -187,6 +187,15 @@ def test_blobs_center_separation():
         dist = np.sqrt((diff**2).sum(axis=2))
         np.fill_diagonal(dist, np.inf)
         assert dist.min() > 2.0  # 6 sigma minus sampling slack
+
+
+def test_blobs_with_a_huge_sigma_warn_nothing():
+    # the center distances overflow to inf, which the search accepts
+    views, _ = dataio.synth_blobs(30, 2, 3, dim=4, noise_sigma=1e200, seed=1)
+    assert all(np.isfinite(matrix).all() for matrix in views.views)
+    for sigma in (3e307, 1e308):  # points past float64, or an inf spread whose distances are nan
+        with pytest.raises(GenerationError):
+            dataio.synth_blobs(30, 2, 3, dim=2, noise_sigma=sigma, seed=1)
 
 
 def test_blobs_validates_arguments():

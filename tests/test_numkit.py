@@ -522,19 +522,18 @@ def test_backward_keeps_no_more_than_the_leaf_gradients():
     assert kept <= sum(leaf.value.nbytes for leaf in leaves) + 32 * 2**10
 
 
-def test_contrast_pair_backward_frees_its_buffer():
+def test_contrast_pair_node_holds_no_pair_buffer():
     rng = np.random.default_rng(31)
     n = 300
     a, b = nk.leaf(rng.normal(size=(n, 4))), nk.leaf(rng.normal(size=(n, 4)))
     tracemalloc.start()
     try:
         root = nk.contrast_pair(a, b, 0.5)
-        built = tracemalloc.get_traced_memory()[0]
-        nk.backward(root)
-        kept = tracemalloc.get_traced_memory()[0] - built
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept <= -0.9 * (2 * n) ** 2 * 8  # the 2N x 2N float64 E is gone
+    assert root.value.shape == (1, 1)
+    assert kept < 0.1 * (2 * n) ** 2 * 8  # no 2N x 2N float64 outlives the forward
 
 
 def test_fused_layers_reject_mismatched_shapes():
