@@ -302,7 +302,8 @@ def _run_grid(views, labels, n_clusters, stored_mask, tasks):
     """Train the ``(eta, config)`` cells of a grid; returns their (status,
     report) pairs in grid order and the workers and BLAS threads they used.
 
-    Every mask is built before any cell trains, so a rate no cell can use
+    Every mask is built, and checked to leave each view more observed rows
+    than ``knn_k``, before any cell trains, so a rate or a k no cell can use
     stops the grid first. With more than one usable core, the cells run in
     forked workers that inherit the dataset and pin OpenBLAS to their share
     of the cores; a worker that dies fails the cells it left unfinished.
@@ -316,6 +317,11 @@ def _run_grid(views, labels, n_clusters, stored_mask, tasks):
     from concurrent.futures.process import BrokenProcessPool
 
     masks = {(eta, config.seed): _mask_for(views, stored_mask, eta, config.seed)[0] for eta, config in tasks}
+    for eta, config in tasks:
+        for v, n_obs in enumerate(masks[eta, config.seed].sum(axis=0)):
+            if 2 <= n_obs <= config.knn_k:  # fewer than 2 fails the cell as bad data, as in `run`
+                source = "mask.csv" if stored_mask is not None else f"eta {eta}"
+                raise ConfigError(f"{source}, seed {config.seed}, view {v}: k must lie in [1, {n_obs - 1}], got {config.knn_k}")
     data = (views, labels, n_clusters, masks)
     cores = _usable_cores()
     workers = min(len(tasks), cores)

@@ -2,14 +2,15 @@
 symmetric-normalized propagation operator consumed by the GCN encoders.
 
 Only the per-view blocks among observed instances (squared distances,
-similarities, KNN selection) are dense. From the KNN step on, the graph
-steps pass each other the sorted, distinct int64 keys ``i * N + j`` of an
-N x N 0/1 pattern's edges and work on them with numpy (sort, drop repeated
-keys, count rows), so memory grows with the edge count. Keys sort in CSR
-order, and the diagonal is where ``key % (N + 1) == 0``. :func:`normalize`
-turns each view's keys into its operator, the one ``scipy.sparse`` CSR
-matrix built per view; the operators enter the computation graph as
-constants.
+similarities, KNN selection) are dense; the distances come from one Gram
+matrix, computed without BLAS, so they need no n_obs x n_obs x D array. From
+the KNN step on, the graph steps pass each other the sorted, distinct int64
+keys ``i * N + j`` of an N x N 0/1 pattern's edges and work on them with
+numpy (sort, drop repeated keys, count rows), so memory grows with the edge
+count. Keys sort in CSR order, and the diagonal is where
+``key % (N + 1) == 0``. :func:`normalize` turns each view's keys into its
+operator, the one ``scipy.sparse`` CSR matrix built per view; the operators
+enter the computation graph as constants.
 """
 
 from __future__ import annotations
@@ -21,33 +22,23 @@ from .errors import ConfigError, DataError, DegenerateGraphError
 
 TRANSFER_RULES = ("copy", "union", "intersection")
 
-BLOCK_BYTES = 4 * 2**20  # differences squared_distances holds at once
-
 
 def squared_distances(x: np.ndarray) -> np.ndarray:
-    """All pairwise squared Euclidean distances via explicit differences.
+    """All pairwise squared Euclidean distances from one Gram matrix.
 
-    Row blocks of the upper triangle are reduced with one ``einsum`` each,
-    holding about ``BLOCK_BYTES`` of differences at a time (one row at
-    least), and mirrored into the lower half. Every entry reduces the same
-    D-length run of differences as the one-shot ``einsum`` over the whole
-    N x N x D tensor, so the result equals it bit for bit whatever the
-    blocking: it is deterministic, exactly symmetric and zero on the
-    diagonal. It is not bit-equal to a scalar loop once D >= 3, since the
-    reduction may sum in another order.
+    ``d2 = (sq_i + sq_j) - 2 G_ij`` is formed in place in ``G = xs xs^T``,
+    with ``xs = x - x[0]`` and ``sq = diag(G)``. ``G`` is an ``einsum``, not
+    BLAS, so its bits do not depend on the BLAS thread count. ``sq_i + sq_j``
+    enters as one term, so ``d2`` is exactly symmetric; it is clamped at 0,
+    zero on the diagonal and between equal rows, and exact on dyadic grids.
+    Otherwise its error grows with |x_i - x_0|^2 + |x_j - x_0|^2.
     """
-    n, d = x.shape
-    d2 = np.empty((n, n))
-    start = 0
-    while start < n:
-        rows = max(1, BLOCK_BYTES // max(1, 8 * d * (n - start)))
-        stop = min(n, start + rows)
-        diff = x[start:stop, None, :] - x[None, start:, :]
-        block = np.einsum("ijk,ijk->ij", diff, diff)
-        d2[start:stop, start:] = block
-        d2[start:, start:stop] = block.T
-        start = stop
-    return d2
+    xs = x - x[:1]
+    d2 = np.einsum("ik,jk->ij", xs, xs)
+    sq = np.diag(d2).copy()
+    d2 *= -2.0
+    d2 += np.add.outer(sq, sq)  # exactly 0 where rows are equal, the diagonal included
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def median_bandwidth(d2: np.ndarray) -> float:

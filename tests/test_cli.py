@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from icmvc import cli
 from icmvc.cli import _add_train_flags, main
-from icmvc.dataio import read_matrix, write_matrix
+from icmvc.dataio import make_mask, read_matrix, write_matrix
 from icmvc.errors import DivergenceError
 from icmvc.network import init_model, load_checkpoint
 from icmvc.trainer import TrainConfig
@@ -659,6 +659,22 @@ def test_knn_of_n_or_more_exits_2_before_training(dataset, tmp_path, capsys, mon
     args = [command, "--data", str(dataset), "--out", str(tmp_path / "o")] + FAST + ["--knn", knn] + extra[command]
     assert main(args) == 2
     assert "--knn" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "ablate"])
+def test_knn_above_a_cells_observed_rows_exits_2_before_any_cell_trains(tmp_path, capsys, monkeypatch, command):
+    # at eta 0.9 each view of 36 instances keeps fewer than 31 rows; at eta 0 all 36
+    assert make_mask(36, 2, 0.9, 1).sum(axis=0).max() <= 30
+    data = tmp_path / "blobs"
+    gen = ["gen", "--n", "36", "--clusters", "3", "--dim", "4", "--sigma", "0.4", "--seed", "1", "--out", str(data)]
+    assert main(gen + (["--eta", "0.9"] if command == "ablate" else [])) == 0
+    monkeypatch.setattr(cli, "train", lambda *args, **kw: pytest.fail("a cell trained"))
+    extra = {"sweep": ["--etas", "0,0.9", "--seeds", "1"], "ablate": ["--seeds", "1"]}[command]
+    out = tmp_path / "o"
+    assert main([command, "--data", str(data), "--out", str(out)] + FAST + ["--knn", "30"] + extra) == 2
+    err = capsys.readouterr().err
+    assert ("eta 0.9, seed 1, view" if command == "sweep" else "mask.csv, seed 1, view") in err
+    assert "got 30" in err and not out.exists()
 
 
 # ---------------------------------------------------------------------------

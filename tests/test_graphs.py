@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from oracles import (
     loop_knn,
     loop_normalize,
     loop_rbf,
+    loop_squared_distances,
     loop_symmetrize,
     loop_transfer,
 )
@@ -47,16 +52,61 @@ def similarity(x, observed, t):
 # squared_distances
 
 
-def test_squared_distances_blocked_equals_one_shot(monkeypatch):
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(101, 10)) * 3.0  # not quantized: roundoff depends on the reduction order
-    diff = x[:, None, :] - x[None, :, :]
-    one_shot = np.einsum("ijk,ijk->ij", diff, diff)
-    monkeypatch.setattr(graphs, "BLOCK_BYTES", 8 * 10 * 101 * 3)  # about 3 rows a block, 30+ blocks
+@pytest.mark.parametrize("d", [1, 3, 10, 64])
+def test_squared_distances_bit_equal_to_loop_on_dyadic_data(d):
+    # on a 0.25 grid every product and partial sum is exact, so the Gram form
+    # gives the loop's bits, and equal distances stay tied for the KNN tie rule
+    rng = np.random.default_rng(d)
+    x = quantized(rng, 40, d)
+    x[rng.integers(0, 40, size=10)] = x[5]
     d2 = squared_distances(x)
-    assert np.array_equal(d2, one_shot)
+    assert np.array_equal(d2, np.array(loop_squared_distances(x.tolist())))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_squared_distances_symmetric_zero_diagonal_and_nonnegative(offset):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(101, 10)) * 3.0 + offset  # not quantized: the Gram form rounds
+    twins = rng.integers(1, 90, size=20)
+    x[twins] = x[0]
+    x[-10:] = x[-11] + rng.normal(size=(10, 10)) * 1e-9  # near twins: the unclamped form goes negative
+    d2 = squared_distances(x)
     assert np.array_equal(d2, d2.T)
-    assert not np.diag(d2).any()
+    assert not np.diag(d2).any() and not d2[twins][:, twins].any() and not d2[0, twins].any()
+    assert (d2 >= 0).all()
+    # the rounding error scales with the squared norms of the rows shifted by the first
+    diff = x[:, None, :] - x[None, :, :]
+    sq = ((x - x[0]) ** 2).sum(axis=1)
+    bound = 16 * x.shape[1] * np.finfo(float).eps * (sq[:, None] + sq[None, :])
+    assert (np.abs(d2 - np.einsum("ijk,ijk->ij", diff, diff)) <= bound).all()
+
+
+BLAS_THREADS_PROBE = """
+import hashlib
+import numpy as np
+from icmvc import ViewSet, make_mask
+from icmvc.graphs import squared_distances
+from icmvc.trainer import TrainConfig, prepare
+rng = np.random.default_rng(0)  # not synth_blobs: its rotations are BLAS products
+views = ViewSet([rng.normal(size=(300, 300)) + np.repeat(rng.normal(size=(3, 300)), 100, axis=0) for _ in range(2)])
+mask = make_mask(300, 2, 0.3, 0)
+digest = hashlib.sha256()
+for v in range(2):
+    digest.update(squared_distances(views.views[v][mask[:, v]]).tobytes())
+for op in prepare(views, mask, TrainConfig())[0]:
+    digest.update(op.data.tobytes() + op.indices.tobytes() + op.indptr.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_prepare_is_bit_identical_at_one_and_two_blas_threads():
+    # a BLAS product of a view wider than 256 may round differently per thread count
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).parents[1]), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], env=env, capture_output=True, text=True, check=True)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 # ---------------------------------------------------------------------------

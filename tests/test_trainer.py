@@ -1,5 +1,10 @@
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +95,22 @@ def test_prepare_memory_grows_with_edges_not_n_squared():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2**20
+
+
+def test_prepare_peak_in_observed_blocks():
+    # one n_obs x n_obs float64 block is about 50 MiB here; the Gram form holds
+    # two while the distances form, and no view's blocks outlive it. The blocked
+    # difference form, which kept a view's blocks into the next, peaked at 3.15
+    views, _ = synth_blobs(3000, 2, 3, dim=10, noise_sigma=0.5, seed=0)
+    mask = make_mask(3000, 2, eta=0.3, seed=0)
+    block = 8 * int(mask.sum(axis=0).max()) ** 2
+    tracemalloc.start()
+    try:
+        prepare(views, mask, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * block
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +205,29 @@ def test_train_epoch_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 13 * 2**20
+
+
+FAULT_PROBE = """
+import resource, sys
+from icmvc import TrainConfig, make_mask, synth_blobs
+from icmvc.trainer import train
+views, labels = synth_blobs(300, 2, 3, dim=int(sys.argv[1]), noise_sigma=0.5, seed=1)
+mask = make_mask(300, 2, 0.3, 1)
+for _ in range(2):  # the first training warms up; the second is counted
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(views, mask, 3, TrainConfig(epochs=40, seed=1), labels=labels)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+@pytest.mark.parametrize("dim", [2, 10])
+def test_epoch_loop_does_not_refault_its_memory(dim):
+    # with glibc's thresholds left dynamic, each such training took about
+    # 68,000 minor faults at D=2, handing its temporaries back every epoch
+    env = dict(os.environ, PYTHONPATH=str(Path(trainer.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(dim)], env=env, capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 300
 
 
 # ---------------------------------------------------------------------------
