@@ -23,7 +23,6 @@ from .errors import (
 from .metrics import MetricsReport, accuracy, ari, evaluate, labels_from_assignment, nmi
 from .objectives import (
     LossBreakdown,
-    TargetDistribution,
     cluster_contrastive_loss,
     guidance_loss,
     high_confidence_target,
@@ -48,7 +47,6 @@ __all__ = [
     "evaluate",
     "labels_from_assignment",
     "LossBreakdown",
-    "TargetDistribution",
     "instance_contrastive_loss",
     "cluster_contrastive_loss",
     "high_confidence_target",

@@ -4,7 +4,7 @@ sweeps, ablation tables, and label-file evaluation.
 Every command is deterministic given its arguments, input files, and seed;
 wall-clock timestamps appear only in the run manifest. Exit codes are a
 stable contract: 0 success, 2 argument or configuration problems, 3 data
-problems, 4 numerical divergence.
+problems or arrays too large for memory, 4 numerical divergence.
 """
 
 from __future__ import annotations
@@ -157,13 +157,16 @@ def resolve_seed(args, file_values=None) -> int:
 # run plumbing shared by run / sweep / ablate
 
 
-def _load_for_run(data_dir: str, scale: bool, config: TrainConfig | None = None):
-    """Load a dataset; with the ``config`` of a training, also reject what no
+def _load_for_run(args, config: TrainConfig | None = None):
+    """Load the ``--data`` dataset, refusing first an ``--out`` that names its
+    directory; with the ``config`` of a training, also reject what no
     training on it can run, before any training starts."""
-    views, labels, mask = load_dataset(data_dir, minmax=scale)
+    if getattr(args, "out", None) is not None and Path(args.out).resolve() == Path(args.data).resolve():
+        raise ConfigError(f"--out {args.out} is the --data directory: the outputs would overwrite the dataset")
+    views, labels, mask = load_dataset(args.data, minmax=not args.no_scale)
     if config is not None:
         if views.n_views != 2:
-            raise FormatError(f"{data_dir}: training needs exactly 2 views, the dataset has {views.n_views}")
+            raise FormatError(f"{args.data}: training needs exactly 2 views, the dataset has {views.n_views}")
         if config.knn_k > views.n_instances - 1:
             raise ConfigError(
                 f"--knn {config.knn_k} needs more instances: the dataset has {views.n_instances}, "
@@ -194,7 +197,7 @@ def _history_csv(result) -> str:
 
 def cmd_run(args) -> int:
     config, eta = _settings(args)
-    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, config)
+    views, labels, stored_mask, n_clusters = _load_for_run(args, config)
     mask, mask_source = _mask_for(views, stored_mask, eta, config.seed)
     result = train(views, mask, n_clusters, config, labels=labels)
 
@@ -383,7 +386,7 @@ def _finish_grid(args, command, csv_name, csv_lines, manifest_config, parallelis
 
 def cmd_sweep(args) -> int:
     config, _ = _settings(args)
-    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, config)
+    views, labels, stored_mask, n_clusters = _load_for_run(args, config)
     if stored_mask is not None:
         raise ConfigError(f"{args.data} has a mask.csv: sweep sets the missing rates itself, from --etas")
     etas = _parse_list(args.etas, "--etas", float) if args.etas is not None else list(DEFAULT_ETAS)
@@ -406,7 +409,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_ablate(args) -> int:
     base, eta = _settings(args)
-    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale, base)
+    views, labels, stored_mask, n_clusters = _load_for_run(args, base)
     seeds = _parse_seeds(args.seeds)
     mask_source = _mask_for(views, stored_mask, eta, base.seed)[1]  # the same for every cell
     grid = [(eta, replace(base, seed=seed, ablation=mode)) for mode in ABLATION_MODES for seed in seeds]
@@ -446,7 +449,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    views, labels, stored_mask, n_clusters = _load_for_run(args.data, not args.no_scale)
+    views, labels, stored_mask, n_clusters = _load_for_run(args)
     config, eta = _settings(args)
     mask, _ = _mask_for(views, stored_mask, eta, config.seed)
     report = baseline(views, mask, labels, n_clusters, args.kind, seed=config.seed)
@@ -543,7 +546,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IcmvcError, OSError) as exc:  # data problems, and any other library error
+    except (IcmvcError, OSError, MemoryError) as exc:  # data problems, arrays too large, any other library error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

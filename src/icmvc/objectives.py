@@ -34,14 +34,6 @@ ABLATION_MODES = {
 
 
 @dataclass
-class TargetDistribution:
-    """Elementwise-max assignment Q and its row-normalized square P."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-
-@dataclass
 class LossBreakdown:
     l_ins: float
     l_clu: float
@@ -89,21 +81,20 @@ def cluster_contrastive_loss(y1: nk.DiffNode, y2: nk.DiffNode, tau_cluster: floa
     return contrast * (1.0 / (2.0 * c)) - entropy
 
 
-def high_confidence_target(y1, y2, y_fused) -> TargetDistribution:
-    """Pick the most confident assignment per entry, then sharpen rows.
+def high_confidence_target(y1, y2, y_fused) -> np.ndarray:
+    """The target P: the most confident assignment Q per entry, with rows sharpened.
 
     Accepts nodes or arrays; the result is detached either way. Squaring and
-    renormalizing pushes confident rows toward one-hot and keeps genuinely
+    renormalizing Q pushes confident rows toward one-hot and keeps genuinely
     ambiguous rows flat.
     """
     arrays = [a.value if isinstance(a, nk.DiffNode) else np.asarray(a, dtype=float) for a in (y1, y2, y_fused)]
     q = np.maximum.reduce(arrays)
     sq = q * q
-    p = sq / sq.sum(axis=1, keepdims=True)
-    return TargetDistribution(q=q, p=p)
+    return sq / sq.sum(axis=1, keepdims=True)
 
 
-def guidance_loss(y: nk.DiffNode, target: TargetDistribution) -> nk.DiffNode:
+def guidance_loss(y: nk.DiffNode, target: np.ndarray) -> nk.DiffNode:
     """Relative entropy of the fixed target against the live assignments.
 
     Computed as the per-instance mean of sum_j p * (log p - log y), with
@@ -113,7 +104,7 @@ def guidance_loss(y: nk.DiffNode, target: TargetDistribution) -> nk.DiffNode:
     balanced; the raw sum grows with N and drowns them, which collapses the
     assignment to fewer clusters.
     """
-    p = nk.constant(target.p)
+    p = nk.constant(target)
     n = y.value.shape[0]
     log_ratio = nk.unary(p, "log") - nk.unary(y, "log")
     return nk.reduce(p * log_ratio, "sum") * (1.0 / n)
@@ -121,8 +112,8 @@ def guidance_loss(y: nk.DiffNode, target: TargetDistribution) -> nk.DiffNode:
 
 def total_loss(z1, z2, y1, y2, y_fused, tau_instance: float, tau_cluster: float, ablation: str, target):
     """Unit-weight sum of the terms that ``ABLATION_MODES[ablation]`` names;
-    returns (node, LossBreakdown). ``target`` is the ``TargetDistribution``
-    from ``high_confidence_target``, read only when the guidance term is named.
+    returns (node, LossBreakdown). ``target`` is P from
+    ``high_confidence_target``, read only when the guidance term is named.
     """
     parts = {}
     for term in ABLATION_MODES[ablation]:

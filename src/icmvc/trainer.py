@@ -1,10 +1,12 @@
 """Experiment driver: graph preparation, the full-batch joint training loop,
 the named ablations, and the k-means baselines.
 
-One epoch is one Adam step over the whole dataset: encode every view,
-fuse, project, classify, evaluate the loss terms that the config's
-``ablation`` (a key of ``ABLATION_MODES``) enables, backpropagate.
-The guidance target is rebuilt from the current assignments each epoch and
+One epoch is one evaluation of the whole dataset: encode every view, fuse,
+project, classify and evaluate the loss terms that the config's
+``ablation`` (a key of ``ABLATION_MODES``) enables. Between two epochs
+comes one Adam step, so ``epochs`` evaluations take ``epochs - 1`` steps
+and the last evaluation scores the weights that training returns. The
+guidance target is rebuilt from the current assignments each epoch and
 treated as a constant within the step. Training needs no pretraining and no
 post-hoc clustering while the clustering term is active; with it ablated
 away (``no-hg-no-clu``), final labels come from k-means on the fused
@@ -124,7 +126,8 @@ def _pin_allocator():
 
 
 def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig, labels=None) -> TrainResult:
-    """Joint optimization; returns final labels and per-epoch history.
+    """Joint optimization: E = ``config.epochs`` evaluations with E - 1 Adam steps between them;
+    returns final labels, per-epoch history and the last evaluated weights, which reproduce them.
 
     The contrastive objectives are defined over view pairs, so training
     expects exactly two views (graph preparation itself handles any number).
@@ -165,14 +168,15 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
             )
             if not np.isfinite(breakdown.total):
                 raise DivergenceError(epoch, breakdown)
-            nk.backward(total)
-            nk.adam_step(optimizer)
-            nk.zero_grads(optimizer.params)  # spent: the next forward need not hold them
             history.append(breakdown)
             if labels is not None:
                 metric_history.append(evaluate(labels_from_assignment(asg.fused.value), labels))
-            if epoch < config.epochs - 1:
-                del emb, asg, total  # free this tape before the next forward builds one
+            if epoch == config.epochs - 1:
+                break  # no step after the last evaluation: its weights are the ones returned
+            nk.backward(total)
+            nk.adam_step(optimizer)
+            nk.zero_grads(optimizer.params)  # spent: the next forward need not hold them
+            del emb, asg, total  # free this tape before the next forward builds one
 
     if "clu" in terms:
         final_labels = labels_from_assignment(asg.fused.value)

@@ -194,11 +194,11 @@ def test_criterion_1_gradients():
 
         weights = {name: node.value for name, node in params.named_parameters()}
         graph_values = tuple(float(node.value[0, 0]) for node in losses())
-        straight_values = straight_line_losses(weights, operators, views, frozen.p)
+        straight_values = straight_line_losses(weights, operators, views, frozen)
         np.testing.assert_allclose(straight_values, graph_values, rtol=0, atol=1e-10)
 
         def values():
-            return straight_line_losses(weights, operators, views, frozen.p)
+            return straight_line_losses(weights, operators, views, frozen)
 
         for name, node in params.named_parameters():
             numeric = numeric_gradient_multi(values, node.value, 4, h=1e-5)
@@ -229,7 +229,7 @@ def test_criterion_2_closed_forms():
     rng = np.random.default_rng(0)
     y = rng.random((5, 3)) + 0.1
     y = y / y.sum(axis=1, keepdims=True)
-    target = obj.TargetDistribution(q=y.copy(), p=y.copy())
+    target = y.copy()
     assert abs(float(obj.guidance_loss(nk.constant(y), target).value[0, 0])) <= 1e-12
     announce(2, "ln 2, ln 2 - ln C (zero at C=2), and zero self-KL identities hold")
 
@@ -260,7 +260,7 @@ def test_criterion_3_loop_oracles():
 
         target = obj.high_confidence_target(*ys)
         got_hg = float(obj.guidance_loss(nk.constant(ys[2]), target).value[0, 0])
-        assert abs(got_hg - loop_guidance_loss(ys[2].tolist(), target.p.tolist())) < 1e-12
+        assert abs(got_hg - loop_guidance_loss(ys[2].tolist(), target.tolist())) < 1e-12
     announce(3, "vectorized losses equal scalar-loop oracles within 1e-12 on 100 fixtures")
 
 

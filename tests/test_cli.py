@@ -61,6 +61,15 @@ def test_gen_rejects_zero_clusters(tmp_path, capsys):
         assert "cluster" in capsys.readouterr().err
 
 
+def test_gen_size_beyond_memory_exits_3_and_writes_nothing(tmp_path, capsys):
+    # numpy refuses an array of 10**15 rows before touching memory
+    out = tmp_path / "g"
+    assert main(["gen", "--n", str(10**15), "--clusters", "3", "--dim", "4", "--sigma", "0.5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_gen_with_eta_writes_mask(tmp_path):
     out = tmp_path / "masked"
     rc = main(["gen", "--n", "20", "--clusters", "2", "--dim", "3", "--sigma", "0.2", "--seed", "2", "--eta", "0.5", "--out", str(out)])
@@ -137,6 +146,27 @@ def test_run_ablate_zeroes_history_column(dataset, tmp_path):
     header, rows = read_csv_rows(out / "history.csv")
     assert all(float(r["l_ins"]) == 0.0 for r in rows)
     assert json.loads((out / "metrics.json").read_text())["ablation"] == "no-ins"
+
+
+@pytest.mark.parametrize("flag", ["--dim", "--embed-dim"])
+def test_run_size_beyond_memory_exits_3_and_writes_nothing(dataset, tmp_path, capsys, flag):
+    # numpy refuses a weight matrix of 10**15 columns before touching memory
+    out = tmp_path / "o"
+    assert main(["run", "--data", str(dataset), "--out", str(out), "--eta", "0.3"] + FAST + [flag, str(10**15)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+def test_out_naming_the_data_directory_exits_2_and_leaves_the_dataset(dataset, capsys, monkeypatch, command):
+    before = {p.name: p.read_bytes() for p in dataset.iterdir()}
+    monkeypatch.setattr(cli, "load_dataset", lambda *args, **kw: pytest.fail("the dataset was loaded"))
+    rate = ["--etas", "0.3", "--seeds", "0"] if command == "sweep" else ["--eta", "0.3"]
+    out = str(dataset / ".." / dataset.name)  # another spelling of the same directory
+    assert main([command, "--data", str(dataset), "--out", out] + rate + FAST) == 2
+    assert "is the --data directory" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in dataset.iterdir()} == before
 
 
 def test_run_missing_dataset_exits_3(tmp_path):

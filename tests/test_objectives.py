@@ -168,13 +168,13 @@ def test_cluster_loss_invariant_to_shared_column_permutation():
 def test_target_one_hot_fixed_point():
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
     target = obj.high_confidence_target(y, y, y)
-    np.testing.assert_allclose(target.p, y, atol=0)
+    np.testing.assert_allclose(target, y, atol=0)
 
 
 def test_target_uniform_fixed_point():
     y = np.full((3, 4), 0.25)
     target = obj.high_confidence_target(y, y, y)
-    np.testing.assert_allclose(target.p, y, atol=1e-15)
+    np.testing.assert_allclose(target, y, atol=1e-15)
 
 
 def test_target_hand_example():
@@ -182,8 +182,7 @@ def test_target_hand_example():
     y2 = np.array([[0.5, 0.5]])
     yf = np.array([[0.6, 0.4]])
     target = obj.high_confidence_target(y1, y2, yf)
-    np.testing.assert_allclose(target.q, [[0.9, 0.5]], atol=0)
-    np.testing.assert_allclose(target.p, [[0.81 / 1.06, 0.25 / 1.06]], atol=1e-12)
+    np.testing.assert_allclose(target, [[0.81 / 1.06, 0.25 / 1.06]], atol=1e-12)
 
 
 def test_target_matches_loop_oracle():
@@ -192,9 +191,8 @@ def test_target_matches_loop_oracle():
     y2 = random_stochastic(rng, 5, 3)
     yf = random_stochastic(rng, 5, 3)
     target = obj.high_confidence_target(y1, y2, yf)
-    q, p = loop_target(y1.tolist(), y2.tolist(), yf.tolist())
-    np.testing.assert_allclose(target.q, q, atol=1e-15)
-    np.testing.assert_allclose(target.p, p, atol=1e-14)
+    _, p = loop_target(y1.tolist(), y2.tolist(), yf.tolist())
+    np.testing.assert_allclose(target, p, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +202,12 @@ def test_target_matches_loop_oracle():
 def test_guidance_zero_when_target_equals_assignment():
     rng = np.random.default_rng(5)
     y = random_stochastic(rng, 6, 3)
-    target = obj.TargetDistribution(q=y.copy(), p=y.copy())
+    target = y.copy()
     assert abs(scalar(obj.guidance_loss(nk.constant(y), target))) < 1e-12
 
 
 def test_guidance_single_term():
-    target = obj.TargetDistribution(q=np.array([[1.0, 0.0]]), p=np.array([[1.0, 0.0]]))
+    target = np.array([[1.0, 0.0]])
     loss = obj.guidance_loss(nk.constant([[0.5, 0.5]]), target)
     assert abs(scalar(loss) - math.log(2.0)) < 1e-12
 
@@ -232,7 +230,7 @@ def test_guidance_matches_loop_oracle():
         random_stochastic(rng, 7, 4), random_stochastic(rng, 7, 4), random_stochastic(rng, 7, 4)
     )
     got = scalar(obj.guidance_loss(nk.constant(y), target))
-    want = loop_guidance_loss(y.tolist(), target.p.tolist())
+    want = loop_guidance_loss(y.tolist(), target.tolist())
     assert abs(got - want) < 1e-12
 
 

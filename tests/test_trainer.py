@@ -1,3 +1,5 @@
+import collections
+import importlib
 import os
 import platform
 import subprocess
@@ -9,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icmvc import trainer
-from icmvc.dataio import ViewSet, make_mask, synth_blobs
+from icmvc import cli, trainer
+from icmvc.dataio import ViewSet, make_mask, save_dataset, synth_blobs
 from icmvc.errors import ConfigError, DivergenceError
+from icmvc.network import forward
 from icmvc.trainer import ABLATION_MODES, TrainConfig, baseline, kmeans, prepare, train
 from oracles import loop_knn, loop_normalize, loop_rbf, loop_symmetrize, loop_transfer
 
@@ -144,6 +147,75 @@ def test_train_label_free_result_identical():
     for ha, hb in zip(with_labels.history, without.history):
         assert ha.as_row() == hb.as_row()
     assert without.metric_history == [] and without.final_metrics is None
+
+
+@pytest.mark.parametrize("ablation", ["full", "no-hg-no-clu"])
+def test_returned_params_reproduce_the_labels_and_embeddings(ablation):
+    # the returned weights, which `run --save-model` checkpoints, are the ones
+    # the last epoch evaluated: no Adam step follows it
+    views, mask, labels = small_problem(seed=8)
+    config = small_config(epochs=5, ablation=ablation, seed=8)
+    result = train(views, mask, 3, config, labels=labels)
+    operators, filled = prepare(views, mask, config)
+    emb, asg = forward(result.params, operators, filled.views, config.tau_attention)
+    np.testing.assert_array_equal(emb.fused.value, result.embeddings)
+    if ablation == "full":
+        np.testing.assert_array_equal(asg.fused.value.argmax(axis=1), result.labels)
+    else:
+        np.testing.assert_array_equal(kmeans(emb.fused.value, 3, seed=config.seed), result.labels)
+
+
+# the (module, name) pairs that perfbench/layers.py rebinds: each name is looked
+# up in that module's globals by its caller, so moving a call breaks the benchmark
+TRAINING_NAMES = (
+    ("icmvc.trainer", "prepare"),
+    ("icmvc.trainer", "zero_fill"),
+    ("icmvc.trainer", "median_bandwidth"),
+    ("icmvc.trainer", "rbf_similarity"),
+    ("icmvc.trainer", "knn_adjacency"),
+    ("icmvc.trainer", "transfer_relations"),
+    ("icmvc.trainer", "finalize_adjacency"),
+    ("icmvc.trainer", "normalize"),
+    ("icmvc.trainer", "init_model"),
+    ("icmvc.trainer", "forward"),
+    ("icmvc.network", "encode_view"),
+    ("icmvc.network", "attention_fuse"),
+    ("icmvc.network", "classify"),
+    ("icmvc.trainer", "high_confidence_target"),
+    ("icmvc.objectives", "instance_contrastive_loss"),
+    ("icmvc.objectives", "cluster_contrastive_loss"),
+    ("icmvc.objectives", "guidance_loss"),
+    ("icmvc.numkit", "backward"),
+    ("icmvc.numkit", "adam_step"),
+    ("icmvc.trainer", "evaluate"),
+    ("icmvc.trainer", "labels_from_assignment"),
+)
+CLI_NAMES = (("icmvc.cli", "load_dataset"), ("icmvc.cli", "train"))
+
+
+def test_benchmark_hooked_names_are_called_where_they_are_looked_up(monkeypatch, tmp_path):
+    calls = collections.Counter()
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for key in TRAINING_NAMES + CLI_NAMES:
+        module = importlib.import_module(key[0])
+        monkeypatch.setattr(module, key[1], counting(key, getattr(module, key[1])))
+    views, mask, labels = small_problem(seed=3)
+    train(views, mask, 3, small_config(epochs=3, ablation="full"), labels=labels)
+    assert [key for key in TRAINING_NAMES if not calls[key]] == []
+    assert calls["icmvc.trainer", "forward"] == 3 and calls["icmvc.trainer", "init_model"] == 1
+    assert calls["icmvc.numkit", "backward"] == calls["icmvc.numkit", "adam_step"] == 2  # none after the last epoch
+
+    calls.clear()
+    save_dataset(tmp_path / "data", views, labels)
+    args = ["run", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out"), "--eta", "0.25", "--epochs", "2"]
+    assert cli.main(args + ["--dim", "16", "--embed-dim", "8", "--knn", "4"]) == 0
+    assert calls["icmvc.cli", "load_dataset"] == 1 and calls["icmvc.cli", "train"] == 1
 
 
 def test_train_requires_two_views():
