@@ -434,6 +434,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out and Path(args.out).resolve() in {Path(f).resolve().parent for f in (args.pred, args.truth)}:
+        raise ConfigError(f"--out {args.out} is the directory of --pred or --truth: the outputs would overwrite its files")
     pred = read_labels(Path(args.pred))
     truth = read_labels(Path(args.truth))
     if pred.shape[0] != truth.shape[0]:

@@ -5,7 +5,8 @@ instance per row, ASCII decimals separated by commas, no header),
 ``labels.csv`` (one integer per line),
 an optional ``mask.csv`` (0/1 per view column), and ``meta.json``. Floats are
 serialized with their shortest round-trip representation, so save followed
-by load is bit-exact.
+by load is bit-exact. numpy's C reader parses a well-formed file; a per-cell
+pass runs only to name the line and column of a bad cell.
 
 Mask sampling uses the PCG64 generator; the algorithm name is echoed into
 run manifests so masks can be regenerated from (seed, algorithm) alone.
@@ -13,6 +14,7 @@ run manifests so masks can be regenerated from (seed, algorithm) alone.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -24,6 +26,7 @@ import numpy as np
 from .errors import ConfigError, DataError, FormatError, GenerationError, ParseError
 
 MASK_PRNG = "pcg64"
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"  # numpy's reader strips these around a cell; float() refuses them
 
 
 @dataclass
@@ -52,10 +55,6 @@ class ViewSet:
         return [v.shape[1] for v in self.views]
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def atomic_write(path: Path, text: str):
     """Write ``text`` to a temporary file beside ``path``, then rename it over
     ``path``, so no reader sees a half-written file."""
@@ -65,20 +64,17 @@ def atomic_write(path: Path, text: str):
 
 
 def write_matrix(path: Path, matrix: np.ndarray, integer: bool = False):
-    lines = []
-    for row in np.atleast_2d(matrix):
-        if integer:
-            lines.append(",".join(str(int(v)) for v in row))
-        else:
-            lines.append(",".join(_format_float(v) for v in row))
-    atomic_write(path, "\n".join(lines) + "\n")
+    cell = (lambda v: str(int(v))) if integer else (lambda v: repr(float(v)))  # float(): an int array writes 1.0
+    atomic_write(path, "\n".join(",".join(map(cell, row)) for row in np.atleast_2d(matrix).tolist()) + "\n")
 
 
 def read_matrix(path: Path) -> np.ndarray:
     """Parse a headerless CSV of ASCII decimals; every cell must be finite.
 
-    ``float()`` also takes digit separators (``1_5``) and non-ASCII digits
-    and spaces; a cell holding either is a :class:`ParseError`.
+    numpy's C reader parses a well-formed file; the per-cell ``float()`` pass
+    runs only to name the line and column of a bad cell. ``float()`` also
+    takes digit separators (``1_5``) and non-ASCII digits and spaces; a cell
+    holding either is a :class:`ParseError`.
     """
     try:
         text = path.read_text(encoding="utf-8")
@@ -89,6 +85,11 @@ def read_matrix(path: Path) -> np.ndarray:
             for col, cell in enumerate(line.strip().split(","), start=1):
                 if "_" in cell or not cell.isascii():
                     raise ParseError(f"{path.name}: line {lineno}, column {col}: {cell!r} is not a decimal")
+    if text.strip() and not any(c in text for c in _NOT_FLOAT_SPACE):  # loadtxt warns on a blank file
+        with contextlib.suppress(ValueError):  # the per-cell pass below names what numpy refused
+            matrix = np.loadtxt(text.split("\n"), delimiter=",", comments=None, ndmin=2)
+            if np.isfinite(matrix).all():
+                return matrix
     rows, linenos = [], []
     width = None
     for lineno, line in enumerate(text.split("\n"), start=1):

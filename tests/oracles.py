@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from icmvc.errors import FormatError, ParseError
+
 
 # ---------------------------------------------------------------------------
 # finite differences
@@ -331,3 +333,50 @@ def pair_counting_ari(pred, truth) -> float:
     if maximum == expected:
         return 1.0
     return (same_both - expected) / (maximum - expected)
+
+
+# ---------------------------------------------------------------------------
+# CSV cells, one float() call each
+
+
+def loop_read_matrix(path) -> np.ndarray:
+    """``dataio.read_matrix`` as a per-line, per-cell ``float()`` loop: the
+    same array for a good file, the same error class and message for a bad one."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path.name}: byte {exc.start} is not UTF-8 text") from None
+    if "_" in text or not text.isascii():
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            for col, cell in enumerate(line.strip().split(","), start=1):
+                if "_" in cell or not cell.isascii():
+                    raise ParseError(f"{path.name}: line {lineno}, column {col}: {cell!r} is not a decimal")
+    rows, linenos = [], []
+    width = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        linenos.append(lineno)
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise FormatError(f"{path.name}: line {lineno} has {len(cells)} cells, expected {width}")
+        parsed = []
+        for col, cell in enumerate(cells, start=1):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise ParseError(f"{path.name}: line {lineno}, column {col}: {cell!r} is not numeric") from None
+        rows.append(parsed)
+    if not rows:
+        raise FormatError(f"{path.name}: empty file")
+    matrix = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ParseError(
+            f"{path.name}: line {linenos[row]}, column {col + 1}: {matrix[row, col]!r} is not finite"
+        )
+    return matrix

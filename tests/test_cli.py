@@ -808,6 +808,22 @@ def test_eval_writes_report(dataset, tmp_path):
     assert json.loads((out / "metrics.json").read_text()) == {"acc": 1.0, "nmi": 1.0, "ari": 1.0}
 
 
+@pytest.mark.parametrize("flag", ["--pred", "--truth", "both"])
+def test_eval_out_naming_a_label_file_directory_exits_2_and_leaves_it(dataset, tmp_path, capsys, flag):
+    outside = tmp_path / "outside.csv"
+    outside.write_bytes((dataset / "labels.csv").read_bytes())
+    files = {"--pred": dataset / "labels.csv", "--truth": dataset / "labels.csv"}
+    if flag != "both":
+        files["--truth" if flag == "--pred" else "--pred"] = outside
+    before = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in dataset.iterdir()}
+    out = str(dataset / ".." / dataset.name)  # another spelling of the same directory
+    assert main(["eval", "--pred", str(files["--pred"]), "--truth", str(files["--truth"]), "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    assert "is the directory of --pred or --truth" in captured.err
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in dataset.iterdir()} == before
+
+
 # ---------------------------------------------------------------------------
 # baseline command
 

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import loop_read_matrix
 
 from icmvc import dataio
 from icmvc.errors import ConfigError, DataError, FormatError, GenerationError, ParseError
@@ -32,6 +35,21 @@ def test_round_trip_bit_exact(tmp_path):
     loaded, _, _ = dataio.load_dataset(tmp_path, minmax=False)
     for original, re_read in zip(views.views, loaded.views):
         np.testing.assert_array_equal(original, re_read)
+
+
+def test_integer_array_written_as_floats_keeps_its_decimal_point(tmp_path):
+    dataio.write_matrix(tmp_path / "m.csv", np.array([[1, -2], [0, 3]]))
+    assert (tmp_path / "m.csv").read_text() == "1.0,-2.0\n0.0,3.0\n"
+
+
+@pytest.mark.parametrize("blank", ["", "\n", " \t\n\n", "\r\n\r\n", "\x0b\x1c\n"])
+def test_blank_view_file_is_an_empty_file_error_and_warns_nothing(tmp_path, blank):
+    dataio.save_dataset(tmp_path, toy_views(), labels=np.array([0, 0, 1, 1]))
+    (tmp_path / "view1.csv").write_bytes(blank.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="view1.csv: empty file"):
+            dataio.load_dataset(tmp_path)
 
 
 def test_header_row_is_a_parse_error(tmp_path):
@@ -392,3 +410,81 @@ def test_load_any_file_bytes_gives_finite_views_or_data_error(tmp_path, files):
     except DataError:
         return
     assert all(np.isfinite(v).all() for v in views.views)
+
+
+# ---------------------------------------------------------------------------
+# read_matrix against the per-cell float() oracle
+
+
+def _read_outcome(reader, path):
+    try:
+        matrix = reader(path)
+    except (FormatError, ParseError) as exc:
+        return type(exc), str(exc)
+    return matrix.shape, matrix.dtype, matrix.tobytes(), matrix.flags.writeable
+
+
+ODD_CELLS = st.sampled_from(["+2", ".5", "1e+05", "1.", "-0", "inf", "nan", "1e400", "0x10", "", '"1"', "#1", "1 2", "1e"])
+PAD = st.text(alphabet=" \t\x0b\x0c\x1c\x1d\x1e\x1f", max_size=2)
+ODD_CHARS = " \t\r\n\x00\x0b\x0c\x1c\x1d\x1e\x1f#\",_"
+
+
+@st.composite
+def csv_bytes(draw):
+    """Rows of ``dataset_files`` cells (and, half the time, odd ones) padded
+    with whitespace, ragged rows, blank and whitespace-only lines, any line
+    end; then, half the time, odd characters or arbitrary bytes spliced in."""
+    cell = draw(st.sampled_from([c for c, _ in FILE_CELLS.values()]))
+    if draw(st.booleans()):
+        cell = cell | ODD_CELLS
+    padded = st.builds(lambda a, c, b: a + c + b, PAD, cell, PAD)
+    width = draw(st.integers(1, 3))
+    row = st.lists(padded, min_size=width, max_size=width).map(",".join)
+    ragged = st.lists(padded, min_size=1, max_size=4).map(",".join)
+    lines = draw(st.lists(row | row | ragged | PAD, max_size=5))
+    data = (draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n"]))).encode()
+    if draw(st.booleans()):
+        junk = draw(st.text(alphabet=ODD_CHARS, min_size=1, max_size=3).map(str.encode) | st.binary(max_size=8))
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + junk + data[at:]
+    return data
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=csv_bytes())
+def test_read_matrix_matches_the_per_cell_oracle_on_any_bytes(tmp_path, data):
+    path = tmp_path / "view1.csv"
+    path.write_bytes(data)
+    assert _read_outcome(dataio.read_matrix, path) == _read_outcome(loop_read_matrix, path)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1,2\x0b3,4\n", ParseError),  # str.splitlines() would break these lines in two
+        ("1,2\x0c3,4\n", ParseError),
+        ("1,2\x1c3,4\n", ParseError),
+        ("1,2\x1e3,4\n", ParseError),
+        ("1e5\x1c,2\n3,4\n", ParseError),  # numpy strips \x1c-\x1f around a cell, float() does not
+        ("1,\x1f2\n3,4\n", ParseError),
+        ("\x1c1,2\x1f\n3,4\n", None),  # but a line's own strip takes them
+        ("1,2 #c\n3,4\n", ParseError),  # '#' starts no comment
+        ("#1,2\n3,4\n", ParseError),
+        ("1,inf\n3,4\n", ParseError),  # numpy parses these; only the per-cell pass names them
+        ("1,2\n-nan,4\n", ParseError),
+        ("1e400,2\n3,4\n", ParseError),
+        ("1,2\r\n\r\n 3 ,\t4\r\n", None),
+        ("+2,.5\n1e+05,-0\n", None),
+        ("5", None),
+        ("1,2\n3\n", FormatError),
+        ("1,2,\n", ParseError),
+        ('"1",2\n', ParseError),
+        ("0x10,2\n", ParseError),
+    ],
+)
+def test_read_matrix_edge_cases_match_the_oracle(tmp_path, text, expected):
+    path = tmp_path / "view1.csv"
+    path.write_bytes(text.encode())
+    outcome = _read_outcome(dataio.read_matrix, path)
+    assert outcome == _read_outcome(loop_read_matrix, path)
+    assert outcome[0] is expected if expected else type(outcome[0]) is tuple  # a shape: the file parsed
