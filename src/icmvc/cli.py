@@ -157,12 +157,23 @@ def resolve_seed(args, file_values=None) -> int:
 # run plumbing shared by run / sweep / ablate
 
 
-def _load_for_run(args, config: TrainConfig | None = None):
-    """Load the ``--data`` dataset, refusing first an ``--out`` that names its
-    directory; with the ``config`` of a training, also reject what no
-    training on it can run, before any training starts."""
-    if getattr(args, "out", None) is not None and Path(args.out).resolve() == Path(args.data).resolve():
+def _refuse_out(args):
+    """Refuse, before any input is read, an ``--out`` that is a file, the
+    ``--data`` directory, or the directory of ``--pred`` or ``--truth``."""
+    if getattr(args, "out", None) is None:
+        return
+    out = Path(args.out).resolve()
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {args.out} is a file, not a directory")
+    if getattr(args, "data", None) is not None and out == Path(args.data).resolve():
         raise ConfigError(f"--out {args.out} is the --data directory: the outputs would overwrite the dataset")
+    if getattr(args, "pred", None) is not None and out in {Path(f).resolve().parent for f in (args.pred, args.truth)}:
+        raise ConfigError(f"--out {args.out} is the directory of --pred or --truth: the outputs would overwrite its files")
+
+
+def _load_for_run(args, config: TrainConfig | None = None):
+    """Load the ``--data`` dataset; with the ``config`` of a training, also
+    reject what no training on it can run, before any training starts."""
     views, labels, mask = load_dataset(args.data, minmax=not args.no_scale)
     if config is not None:
         if views.n_views != 2:
@@ -434,8 +445,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.out and Path(args.out).resolve() in {Path(f).resolve().parent for f in (args.pred, args.truth)}:
-        raise ConfigError(f"--out {args.out} is the directory of --pred or --truth: the outputs would overwrite its files")
     pred = read_labels(Path(args.pred))
     truth = read_labels(Path(args.truth))
     if pred.shape[0] != truth.shape[0]:
@@ -541,6 +550,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_out(args)
         return args.handler(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

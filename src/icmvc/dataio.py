@@ -5,8 +5,8 @@ instance per row, ASCII decimals separated by commas, no header),
 ``labels.csv`` (one integer per line),
 an optional ``mask.csv`` (0/1 per view column), and ``meta.json``. Floats are
 serialized with their shortest round-trip representation, so save followed
-by load is bit-exact. numpy's C reader parses a well-formed file; a per-cell
-pass runs only to name the line and column of a bad cell.
+by load is bit-exact. numpy's C reader builds every array; a per-cell pass
+runs only to name the line and column of a bad cell.
 
 Mask sampling uses the PCG64 generator; the algorithm name is echoed into
 run manifests so masks can be regenerated from (seed, algorithm) alone.
@@ -71,10 +71,12 @@ def write_matrix(path: Path, matrix: np.ndarray, integer: bool = False):
 def read_matrix(path: Path) -> np.ndarray:
     """Parse a headerless CSV of ASCII decimals; every cell must be finite.
 
-    numpy's C reader parses a well-formed file; the per-cell ``float()`` pass
-    runs only to name the line and column of a bad cell. ``float()`` also
-    takes digit separators (``1_5``) and non-ASCII digits and spaces; a cell
-    holding either is a :class:`ParseError`.
+    numpy's C reader builds every array. A file it refuses, a blank file, and
+    one holding a non-finite entry or any of ``\\x1c``-``\\x1f`` go through a
+    per-cell ``float()`` pass over the stripped non-blank lines that names the
+    first bad line or cell; numpy then parses those lines, and the first
+    non-finite entry is named. ``float()`` also takes digit separators
+    (``1_5``) and non-ASCII digits and spaces; a cell holding either is a :class:`ParseError`.
     """
     try:
         text = path.read_text(encoding="utf-8")
@@ -90,34 +92,24 @@ def read_matrix(path: Path) -> np.ndarray:
             matrix = np.loadtxt(text.split("\n"), delimiter=",", comments=None, ndmin=2)
             if np.isfinite(matrix).all():
                 return matrix
-    rows, linenos = [], []
-    width = None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        linenos.append(lineno)
+    lines = [(lineno, line.strip()) for lineno, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    if not lines:
+        raise FormatError(f"{path.name}: empty file")
+    width = lines[0][1].count(",") + 1
+    for lineno, line in lines:
         cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+        if len(cells) != width:
             raise FormatError(f"{path.name}: line {lineno} has {len(cells)} cells, expected {width}")
-        parsed = []
         for col, cell in enumerate(cells, start=1):
             try:
-                parsed.append(float(cell))
+                float(cell)
             except ValueError:
                 raise ParseError(f"{path.name}: line {lineno}, column {col}: {cell!r} is not numeric") from None
-        rows.append(parsed)
-    if not rows:
-        raise FormatError(f"{path.name}: empty file")
-    matrix = np.array(rows, dtype=np.float64)
+    matrix = np.loadtxt([line for _, line in lines], delimiter=",", comments=None, ndmin=2)
     finite = np.isfinite(matrix)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
-        raise ParseError(
-            f"{path.name}: line {linenos[row]}, column {col + 1}: {matrix[row, col]!r} is not finite"
-        )
+        raise ParseError(f"{path.name}: line {lines[row][0]}, column {col + 1}: {matrix[row, col]!r} is not finite")
     return matrix
 
 

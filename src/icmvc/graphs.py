@@ -74,7 +74,8 @@ def rbf_similarity(d2: np.ndarray, t: float) -> np.ndarray:
         raise ConfigError(f"rbf bandwidth must be positive, got {t}")
     if d2.shape[0] < 2:
         raise DataError("need at least 2 observed instances to build a graph")
-    sims = d2 / -t  # equals -d2 / t bit for bit, without the extra temporary
+    with np.errstate(over="ignore"):  # a subnormal t sends far pairs to -inf, whose exp is the 0 they tend to
+        sims = d2 / -t  # equals -d2 / t bit for bit, without the extra temporary
     return np.exp(sims, out=sims)
 
 

@@ -33,14 +33,13 @@ EPS = 1e-12
 
 
 def as_matrix(data) -> np.ndarray:
-    """Coerce scalars / sequences / arrays to a 2-D float64 array."""
+    """Coerce a scalar (to 1x1) or a matrix-shaped sequence or array to a 2-D
+    float64 array; any other rank is a :class:`ShapeError`."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
     elif arr.ndim != 2:
-        raise ShapeError(f"expected at most 2 dimensions, got {arr.ndim}")
+        raise ShapeError(f"expected a scalar or a matrix, got {arr.ndim} dimensions")
     return arr
 
 
@@ -122,8 +121,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
         g = g.sum(axis=0, keepdims=True)
     if shape[1] == 1 and g.shape[1] != 1:
         g = g.sum(axis=1, keepdims=True)
-    if g.shape != shape:
-        raise ShapeError(f"cannot reduce gradient {g.shape} to {shape}")
     return g
 
 

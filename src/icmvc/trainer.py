@@ -198,17 +198,18 @@ def train(views: ViewSet, mask: np.ndarray, n_clusters: int, config: TrainConfig
 # k-means and the naive baselines
 
 KMEANS_MAX_ITER = 300  # Lloyd iterations per restart, unless the labels settle sooner
+KMEANS_RESTARTS = 20  # seedings per call; the lowest-inertia labels win
 
 
-def kmeans(x: np.ndarray, n_clusters: int, seed: int = 0, restarts: int = 20) -> np.ndarray:
-    """Lloyd iterations with distance-weighted seeding, best of ``restarts``."""
+def kmeans(x: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:
+    """Lloyd iterations with distance-weighted seeding, best of ``KMEANS_RESTARTS``."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n_clusters > n:
         raise ConfigError(f"cannot form {n_clusters} clusters from {n} points")
     rng = np.random.Generator(np.random.PCG64(seed))
     best_labels, best_inertia = None, np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(KMEANS_RESTARTS):
         centers = _seed_centers(x, n_clusters, rng)
         labels = None
         for _iteration in range(KMEANS_MAX_ITER):

@@ -16,6 +16,7 @@ from icmvc import cli
 from icmvc.cli import _add_train_flags, main
 from icmvc.dataio import make_mask, read_matrix, write_matrix
 from icmvc.errors import DivergenceError
+from icmvc.metrics import MetricsReport
 from icmvc.network import init_model, load_checkpoint
 from icmvc.trainer import TrainConfig
 
@@ -169,6 +170,25 @@ def test_out_naming_the_data_directory_exits_2_and_leaves_the_dataset(dataset, c
     assert {p.name: p.read_bytes() for p in dataset.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", ["gen", "run", "sweep", "ablate", "eval"])
+def test_out_naming_a_file_exits_2_before_reading_anything(dataset, tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "taken"
+    out.write_bytes(b"not a directory\n")
+    for name in ("synth_blobs", "load_dataset", "read_labels", "train"):
+        monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail("an input was read or a model trained"))
+    args = {
+        "gen": ["--n", "20", "--clusters", "2", "--dim", "3", "--sigma", "0.2"],
+        "run": ["--data", str(dataset), "--eta", "0.3"] + FAST,
+        "sweep": ["--data", str(dataset), "--etas", "0.3", "--seeds", "0"] + FAST,
+        "ablate": ["--data", str(dataset), "--eta", "0.3", "--seeds", "0"] + FAST,
+        "eval": ["--pred", str(dataset / "labels.csv"), "--truth", str(dataset / "labels.csv")],
+    }[command]
+    assert main([command, "--out", str(out)] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: --out {out} is a file, not a directory\n"
+    assert out.read_bytes() == b"not a directory\n"
+
+
 def test_run_missing_dataset_exits_3(tmp_path):
     rc = main(["run", "--data", str(tmp_path / "nope"), "--eta", "0.3", "--out", str(tmp_path / "o")] + FAST)
     assert rc == 3
@@ -268,6 +288,29 @@ def test_mask_column_with_no_observed_instance_exits_3_before_training(dataset, 
     assert "view 2 has no observed instance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, text, named",
+    [
+        ("mask.csv", "1,1\n" * 35, "mask.csv: shape (35, 2), expected (36, 2)"),
+        ("mask.csv", "1,1\n" * 35 + "2,1\n", "mask.csv: entries must be 0 or 1"),
+        ("labels.csv", "0\n" * 35, "labels.csv: 35 rows, expected 36"),
+        ("labels.csv", "0,1\n" * 36, "labels.csv: expected one label per line"),
+    ],
+)
+def test_bad_mask_or_labels_file_exits_3_before_training(dataset, tmp_path, capsys, monkeypatch, name, text, named):
+    (dataset / name).write_text(text)
+    monkeypatch.setattr(cli, "train", lambda *args, **kw: pytest.fail("a model trained"))
+    assert main(["run", "--data", str(dataset), "--out", str(tmp_path / "o")] + FAST) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+def test_mask_leaving_a_view_one_observed_row_exits_3(dataset, tmp_path, capsys):
+    (dataset / "mask.csv").write_text("1,1\n" + "1,0\n" * 35)
+    assert main(["run", "--data", str(dataset), "--out", str(tmp_path / "o")] + FAST) == 3
+    assert "bandwidth heuristic needs at least 2 observed instances" in capsys.readouterr().err
+
+
 def test_run_env_seed_and_flag_override(dataset, tmp_path, monkeypatch):
     monkeypatch.setenv("ICMVC_SEED", "11")
     out_env = tmp_path / "env"
@@ -290,6 +333,36 @@ def test_run_config_file_precedence(dataset, tmp_path):
     assert main(["run", "--data", str(dataset), "--eta", "0.3", "--config", str(cfg), "--epochs", "2", "--out", str(out2)]) == 0
     _, rows2 = read_csv_rows(out2 / "history.csv")
     assert len(rows2) == 2
+
+
+def test_config_file_eta_applies_unless_eta_is_given(dataset, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eta": 0.5}))
+    run = ["run", "--data", str(dataset), "--seed", "2"] + FAST
+    assert main(run + ["--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert main(run + ["--config", str(cfg), "--eta", "0.1", "--out", str(tmp_path / "flag")]) == 0
+    assert main(run + ["--eta", "0.5", "--out", str(tmp_path / "same")]) == 0
+    assert json.loads((tmp_path / "file" / "metrics.json").read_text())["eta"] == 0.5
+    assert json.loads((tmp_path / "flag" / "metrics.json").read_text())["eta"] == 0.1
+    for name in ("history.csv", "labels.csv"):  # the file's rate drew the same mask as the flag's
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "same" / name).read_bytes()
+
+
+def test_config_file_naming_a_directory_exits_2(dataset, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "train", lambda *args, **kw: pytest.fail("a model trained"))
+    args = ["run", "--data", str(dataset), "--eta", "0.3", "--config", str(tmp_path), "--out", str(tmp_path / "o")]
+    assert main(args + FAST) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+
+
+def test_config_file_null_bandwidth_is_the_median_heuristic(dataset, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bandwidth": None}))
+    run = ["run", "--data", str(dataset), "--eta", "0.3", "--seed", "1"] + FAST
+    assert main(run + ["--config", str(cfg), "--out", str(tmp_path / "null")]) == 0
+    assert main(run + ["--out", str(tmp_path / "default")]) == 0
+    assert (tmp_path / "null" / "history.csv").read_bytes() == (tmp_path / "default" / "history.csv").read_bytes()
 
 
 def test_training_flags_store_into_config_fields():
@@ -356,6 +429,7 @@ def test_run_ablate_full_overrides_a_config_file(dataset, tmp_path):
         (["run", "--eta", "0.3"], {"epochs": "10"}, "'epochs'"),
         (["run", "--eta", "0.3"], {"knn_k": 2.5}, "'knn_k'"),
         (["run"], {"eta": "x"}, "'eta'"),
+        (["run"], {"eta": True}, "'eta'"),
     ],
 )
 def test_malformed_list_flag_or_config_value_exits_2(dataset, tmp_path, capsys, args, config, named):
@@ -391,6 +465,8 @@ def test_malformed_list_flag_or_config_value_exits_2(dataset, tmp_path, capsys, 
         ("sweep", ["--etas", ""], None, None, "--etas"),
         ("sweep", ["--seeds", ""], None, None, "--seeds"),
         ("ablate", ["--seeds", ""], None, None, "--seeds"),
+        ("run", [], "abc", None, "ICMVC_SEED"),
+        ("gen", ["--views", "1", "--eta", "0.3"], None, None, "2 views"),
     ],
 )
 def test_out_of_domain_argument_exits_2(dataset, tmp_path, capsys, monkeypatch, command, extra, env_seed, config, named):
@@ -411,6 +487,7 @@ def test_out_of_domain_argument_exits_2(dataset, tmp_path, capsys, monkeypatch, 
         base += ["--config", str(cfg)]
     assert main([command] + base + extra) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_and_baseline_count_distinct_labels(dataset, tmp_path):
@@ -717,6 +794,19 @@ def test_ablate_four_rows(dataset, tmp_path):
     assert rc == 0
     _, rows = read_csv_rows(out / "ablation.csv")
     assert [r["config"] for r in rows] == ["full", "no-ins", "no-hg", "no-hg-no-clu"]
+
+
+@pytest.mark.parametrize("full_acc, warns", [(0.57, True), (0.59, False)])
+def test_ablate_warns_when_full_falls_behind_no_ins(dataset, tmp_path, capsys, monkeypatch, full_acc, warns):
+    def grid(views, labels, n_clusters, stored_mask, tasks):
+        accs = {"full": full_acc, "no-ins": 0.6}
+        reports = [MetricsReport(acc=accs.get(cell.ablation, 0.5), nmi=0.5, ari=0.5) for _, cell in tasks]
+        return [("ok", report) for report in reports], {"workers": 1, "blas_threads": None}
+
+    monkeypatch.setattr(cli, "_run_grid", grid)
+    assert main(["ablate", "--data", str(dataset), "--out", str(tmp_path / "a"), "--eta", "0.3", "--seeds", "1"]) == 0
+    warning = "warning: full model mean ACC fell more than 0.02 below the no-ins ablation\n"
+    assert capsys.readouterr().err == (warning if warns else "")
 
 
 def test_ablate_full_row_matches_plain_run(dataset, tmp_path):

@@ -262,7 +262,7 @@ def test_blobs_zero_noise_single_view_kmeans_recovers_labels():
 
     views, labels = dataio.synth_blobs(30, 2, 3, dim=4, noise_sigma=0.0, seed=3)
     for matrix in views.views:
-        pred = kmeans(matrix, 3, seed=0, restarts=5)
+        pred = kmeans(matrix, 3, seed=0)
         acc, _ = accuracy(pred, labels)
         assert acc == 1.0
 
@@ -273,7 +273,7 @@ def test_blobs_benchmark_scale_concat_kmeans_separable():
 
     for seed in range(5):
         views, labels = dataio.synth_blobs(300, 2, 3, dim=10, noise_sigma=0.5, seed=seed)
-        pred = kmeans(np.hstack(views.views), 3, seed=seed, restarts=5)
+        pred = kmeans(np.hstack(views.views), 3, seed=seed)
         acc, _ = accuracy(pred, labels)
         assert acc >= 0.95, f"seed {seed}: concat k-means ACC {acc}"
 

@@ -140,6 +140,12 @@ def test_rbf_rejects_bad_bandwidth_and_degenerate_input():
         similarity(x, np.array([True, False, False]), t=1.0)
 
 
+def test_rbf_subnormal_bandwidth_zeroes_distinct_pairs_without_a_warning():
+    # d2 / -1e-320 overflows to -inf; the suite turns a RuntimeWarning into an error
+    d2 = squared_distances(np.array([[0.0], [1.0], [3.0]]))
+    np.testing.assert_array_equal(rbf_similarity(d2, 1e-320), np.eye(3))
+
+
 def test_median_bandwidth_positive_on_duplicates():
     x = np.ones((4, 2))
     assert median_bandwidth(squared_distances(x)) == 1.0

@@ -352,7 +352,7 @@ def test_config_ablation_names():
 def test_kmeans_each_point_own_cluster():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(6, 2)) * 5
-    labels = kmeans(x, 6, seed=0, restarts=5)
+    labels = kmeans(x, 6, seed=0)
     assert len(np.unique(labels)) == 6
     centers = np.stack([x[labels == c].mean(axis=0) for c in range(6)])
     inertia = ((x - centers[labels]) ** 2).sum()
@@ -362,14 +362,14 @@ def test_kmeans_each_point_own_cluster():
 def test_kmeans_separated_pairs():
     x = np.array([[0.0], [0.1], [10.0], [10.1]])
     for seed in range(5):
-        labels = kmeans(x, 2, seed=seed, restarts=3)
+        labels = kmeans(x, 2, seed=seed)
         assert labels[0] == labels[1] and labels[2] == labels[3] and labels[0] != labels[2]
 
 
 def test_kmeans_beats_random_assignments():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(20, 3))
-    labels = kmeans(x, 3, seed=1, restarts=10)
+    labels = kmeans(x, 3, seed=1)
 
     def inertia_of(assignment):
         total = 0.0
@@ -393,6 +393,16 @@ def test_kmeans_deterministic():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(30, 4))
     np.testing.assert_array_equal(kmeans(x, 3, seed=5), kmeans(x, 3, seed=5))
+
+
+def test_kmeans_with_more_clusters_than_distinct_points():
+    # three distinct points, four clusters: seeding's last center finds no distance
+    # left to weight by, and two equal centers leave Lloyd an empty cluster to revive
+    x = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 5.0]]), 3, axis=0)
+    labels = kmeans(x, 4, seed=0)
+    assert sorted(np.unique(labels)) == [0, 1, 2, 3]
+    for c in range(4):
+        assert len(np.unique(x[labels == c], axis=0)) == 1  # no cluster mixes distinct points
 
 
 # ---------------------------------------------------------------------------
