@@ -158,13 +158,15 @@ def resolve_seed(args, file_values=None) -> int:
 
 
 def _refuse_out(args):
-    """Refuse, before any input is read, an ``--out`` that is a file, the
-    ``--data`` directory, or the directory of ``--pred`` or ``--truth``."""
+    """Refuse, before any input is read, an ``--out`` that is or lies under a
+    file, the ``--data`` directory, or the directory of ``--pred`` or ``--truth``."""
     if getattr(args, "out", None) is None:
         return
     out = Path(args.out).resolve()
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"--out {args.out} is a file, not a directory")
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        where = "is a file" if existing == out else f"lies under the file {existing}"
+        raise ConfigError(f"--out {args.out} {where}, not a directory")
     if getattr(args, "data", None) is not None and out == Path(args.data).resolve():
         raise ConfigError(f"--out {args.out} is the --data directory: the outputs would overwrite the dataset")
     if getattr(args, "pred", None) is not None and out in {Path(f).resolve().parent for f in (args.pred, args.truth)}:

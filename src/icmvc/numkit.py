@@ -14,7 +14,8 @@ The fused ops are one node each whose hand-written vjps read only the upstream
 gradient and arrays the forward saved: :func:`affine` for a dense layer,
 :func:`gcn_layer` for a graph-convolution layer over a constant operator (dense
 or ``scipy.sparse``, never a node), and :func:`contrast_pair` for a whole
-contrastive loss, which computes its gradients in the forward and frees E.
+contrastive loss, which computes its gradients in the forward, one row block
+of its pair matrix at a time.
 
 Numerical conventions (applied uniformly so downstream losses never see a
 NaN from an in-contract input):
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, ShapeError
 
 EPS = 1e-12
+CONTRAST_BLOCK_ROWS = 256  # rows of E per block; also the longest sum in one contrast product
 
 
 def as_matrix(data) -> np.ndarray:
@@ -261,8 +263,12 @@ def contrast_pair(a: DiffNode, b: DiffNode, tau: float) -> DiffNode:
     With the unit rows of ``a`` stacked over those of ``b`` as Z (2N x D) and
     E = exp(Z Zᵀ / tau), it is sum_k log r_k - 2 sum_i cos(a_i, b_i) / tau, for
     r = rowsum(E) clamped to ``EPS``. The forward also runs the hand-derived
-    backward for both parents and frees E before it returns; each vjp only
-    scales its saved gradient.
+    backward for both parents; each vjp only scales its saved gradient. E is
+    never whole: one pass forms it ``CONTRAST_BLOCK_ROWS`` rows at a time, and
+    each block gives its rows' sums, positives and, since E is symmetric, its
+    share ``E_Bᵀ [Z_B, Z_B / r_B]`` of the gradient products. Those sum at
+    most ``CONTRAST_BLOCK_ROWS`` terms each (the cosines sum D), short enough
+    for OpenBLAS to give the same bits at any thread count.
     """
     if tau <= 0:
         raise ConfigError(f"contrast temperature must be positive, got {tau}")
@@ -273,17 +279,23 @@ def contrast_pair(a: DiffNode, b: DiffNode, tau: float) -> DiffNode:
     na, unit_vjp_a = _unit_rows(a.value)
     nb, unit_vjp_b = _unit_rows(b.value)
     z = np.vstack([na, nb])
-    e = z @ z.T  # the cosines, then exp(cosines / tau) in place: one 2N x 2N buffer
-    positives = np.trace(e, offset=n)
-    e /= tau
-    np.exp(e, out=e)
-    r = np.maximum(e.sum(axis=1, keepdims=True), EPS)
-    value = np.log(r).sum() - 2.0 * positives / tau
-    # dL/dZ = (E Z / r + E (Z / r) - 2 [Z_b; Z_a]) / tau, as E is symmetric
-    inv = 1.0 / r
-    ez, ez_inv = np.hsplit(e @ np.hstack([z, inv * z]), 2)
-    del e  # spent: freed now, not at return, lowers the epoch's peak
-    dz = (inv * ez + ez_inv - 2.0 * np.roll(z, n, axis=0)) / tau
+    r, positives = np.empty((2 * n, 1)), np.empty(n)
+    products = np.zeros((2 * n, 2 * z.shape[1]))  # E [Z, Z / r]
+    for start in range(0, 2 * n, CONTRAST_BLOCK_ROWS):
+        stop = start + CONTRAST_BLOCK_ROWS
+        zb = z[start:stop]
+        e = zb @ z.T  # this block's cosines, then exp(cosines / tau) in place
+        positives[start:stop] = np.diagonal(e, offset=n + start)  # cos(a_i, b_i) of its rows i < n
+        e /= tau
+        np.exp(e, out=e)
+        r[start:stop] = np.maximum(e.sum(axis=1, keepdims=True), EPS)
+        # E is symmetric: its columns in this block are the block's rows transposed
+        products += e.T @ np.hstack([zb, (1.0 / r[start:stop]) * zb])
+        del e  # freed before the next block's
+    value = np.log(r).sum() - 2.0 * positives.sum() / tau
+    # dL/dZ = (E Z / r + E (Z / r) - 2 [Z_b; Z_a]) / tau
+    ez, ez_inv = np.hsplit(products, 2)
+    dz = ((1.0 / r) * ez + ez_inv - 2.0 * np.roll(z, n, axis=0)) / tau
     grad_a, grad_b = unit_vjp_a(dz[:n]), unit_vjp_b(dz[n:])
     # a fresh array per call: backward() keeps the first contribution as given
     return DiffNode([[value]], (a, b), (lambda g: g[0, 0] * grad_a, lambda g: g[0, 0] * grad_b))

@@ -170,23 +170,40 @@ def test_out_naming_the_data_directory_exits_2_and_leaves_the_dataset(dataset, c
     assert {p.name: p.read_bytes() for p in dataset.iterdir()} == before
 
 
-@pytest.mark.parametrize("command", ["gen", "run", "sweep", "ablate", "eval"])
-def test_out_naming_a_file_exits_2_before_reading_anything(dataset, tmp_path, capsys, monkeypatch, command):
-    out = tmp_path / "taken"
-    out.write_bytes(b"not a directory\n")
+def _refuse_out_case(dataset, monkeypatch, command):
+    """The arguments of a ``command`` whose inputs must not be read, with every reader failing the test."""
     for name in ("synth_blobs", "load_dataset", "read_labels", "train"):
         monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail("an input was read or a model trained"))
-    args = {
+    return {
         "gen": ["--n", "20", "--clusters", "2", "--dim", "3", "--sigma", "0.2"],
         "run": ["--data", str(dataset), "--eta", "0.3"] + FAST,
         "sweep": ["--data", str(dataset), "--etas", "0.3", "--seeds", "0"] + FAST,
         "ablate": ["--data", str(dataset), "--eta", "0.3", "--seeds", "0"] + FAST,
         "eval": ["--pred", str(dataset / "labels.csv"), "--truth", str(dataset / "labels.csv")],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "sweep", "ablate", "eval"])
+def test_out_naming_a_file_exits_2_before_reading_anything(dataset, tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "taken"
+    out.write_bytes(b"not a directory\n")
+    args = _refuse_out_case(dataset, monkeypatch, command)
     assert main([command, "--out", str(out)] + args) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: --out {out} is a file, not a directory\n"
     assert out.read_bytes() == b"not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "sweep", "ablate", "eval"])
+def test_out_under_a_file_exits_2_before_reading_anything(dataset, tmp_path, capsys, monkeypatch, command):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    out = taken / "sub" / "dir"
+    args = _refuse_out_case(dataset, monkeypatch, command)
+    assert main([command, "--out", str(out)] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: --out {out} lies under the file {taken.resolve()}, not a directory\n"
+    assert taken.read_bytes() == b"not a directory\n"
 
 
 def test_run_missing_dataset_exits_3(tmp_path):

@@ -536,6 +536,21 @@ def test_contrast_pair_node_holds_no_pair_buffer():
     assert kept < 0.1 * (2 * n) ** 2 * 8  # no 2N x 2N float64 outlives the forward
 
 
+def test_contrast_pair_peak_stays_far_under_the_pair_buffer():
+    # E is formed CONTRAST_BLOCK_ROWS rows at a time: at N=2000 one 256 x 4000
+    # block is 1/16 of the 2N x 2N float64 buffer
+    rng = np.random.default_rng(32)
+    n = 2000
+    a, b = nk.leaf(rng.normal(size=(n, 16))), nk.leaf(rng.normal(size=(n, 16)))
+    tracemalloc.start()
+    try:
+        nk.contrast_pair(a, b, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * (2 * n) ** 2 * 8
+
+
 def test_fused_layers_reject_mismatched_shapes():
     x = nk.constant(np.ones((4, 3)))
     with pytest.raises(ShapeError):

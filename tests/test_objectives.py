@@ -85,6 +85,7 @@ def _composed_contrast_pair(a, b, tau):
 
 def test_fused_contrast_matches_composed_ops():
     rng = np.random.default_rng(9)
+    cases = []
     for trial in range(16):
         n = int(rng.integers(1, 10))
         d = int(rng.integers(2, 6))
@@ -92,6 +93,16 @@ def test_fused_contrast_matches_composed_ops():
         data_a, data_b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
         if trial % 4 == 3:
             data_a[n // 2] = 0.0
+        cases.append((data_a, data_b, tau))
+    # 2N rows over several CONTRAST_BLOCK_ROWS blocks: at n=300 the second block
+    # holds the last rows of a and the first of b and the third is short; at
+    # n=129 the second block starts past row n, so it holds no positive pair
+    for n, zero_row in ((300, None), (200, 199), (129, 128)):
+        data_a, data_b = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+        if zero_row is not None:
+            data_b[zero_row] = 0.0
+        cases.append((data_a, data_b, 0.6))
+    for data_a, data_b, tau in cases:
         fused_a, fused_b = nk.leaf(data_a), nk.leaf(data_b)
         fused = nk.contrast_pair(fused_a, fused_b, tau)
         nk.backward(fused)

@@ -265,9 +265,10 @@ def test_train_keeps_one_tape_alive(monkeypatch):
 
 
 def test_train_epoch_memory_peak():
-    # backward frees interior gradients, contrast_pair frees its 600 x 600 buffer in
-    # the forward and train() drops the leaf gradients after each Adam step; holding
-    # them to the end of the epoch peaked at 18.5 MiB, keeping the leaf gradients at 13.1
+    # backward frees interior gradients, contrast_pair holds one 256 x 600 block of
+    # its pair matrix at a time and train() drops the leaf gradients after each Adam
+    # step; holding them to the end of the epoch peaked at 18.5 MiB, keeping the leaf
+    # gradients at 13.1, the whole 600 x 600 pair matrix at 12.2
     views, labels = synth_blobs(300, 2, 3, dim=10, noise_sigma=0.5, seed=1)
     mask = make_mask(300, 2, eta=0.3, seed=1)
     tracemalloc.start()
@@ -276,7 +277,7 @@ def test_train_epoch_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 13 * 2**20
+    assert peak <= 11.5 * 2**20
 
 
 FAULT_PROBE = """
@@ -300,6 +301,36 @@ def test_epoch_loop_does_not_refault_its_memory(dim):
     env = dict(os.environ, PYTHONPATH=str(Path(trainer.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(dim)], env=env, capture_output=True, text=True, check=True)
     assert int(done.stdout) < 300
+
+
+BLAS_THREADS_PROBE = """
+import hashlib
+import numpy as np
+from icmvc import TrainConfig, make_mask, numkit as nk, synth_blobs
+from icmvc.trainer import train
+rng = np.random.default_rng(0)
+a, b = nk.leaf(rng.normal(size=(1000, 64))), nk.leaf(rng.normal(size=(1000, 64)))
+root = nk.contrast_pair(a, b, 0.5)
+nk.backward(root)
+print(hashlib.sha256(root.value.tobytes() + a.grad.tobytes() + b.grad.tobytes()).hexdigest())
+views, labels = synth_blobs(300, 2, 3, dim=10, noise_sigma=0.5, seed=1)
+result = train(views, make_mask(300, 2, 0.3, 1), 3, TrainConfig(epochs=20, seed=1), labels=labels)
+print(hashlib.sha256(np.array([h.as_row() for h in result.history]).tobytes() + result.embeddings.tobytes()).hexdigest())
+"""
+
+
+def test_contrast_pair_and_training_are_bit_identical_at_one_and_two_blas_threads():
+    # contrast_pair's gradient products sum at most CONTRAST_BLOCK_ROWS terms
+    # each. From N=400 up training still differs between thread counts, through
+    # the layers' weight gradient products, whose inner dimension is N
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(trainer.__file__).parents[1]), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], env=env, capture_output=True, text=True, check=True)
+        runs.append(done.stdout.split())
+    contrast, training = zip(*runs)
+    assert contrast[0] == contrast[1]
+    assert training[0] == training[1]
 
 
 # ---------------------------------------------------------------------------
