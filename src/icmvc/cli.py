@@ -173,18 +173,12 @@ def _refuse_out(args):
         raise ConfigError(f"--out {args.out} is the directory of --pred or --truth: the outputs would overwrite its files")
 
 
-def _load_for_run(args, config: TrainConfig | None = None):
-    """Load the ``--data`` dataset; with the ``config`` of a training, also
-    reject what no training on it can run, before any training starts."""
+def _load_for_run(args, training: bool = False):
+    """Load the ``--data`` dataset; for a ``training``, also reject a view
+    count no training can run, before any training starts."""
     views, labels, mask = load_dataset(args.data, minmax=not args.no_scale)
-    if config is not None:
-        if views.n_views != 2:
-            raise FormatError(f"{args.data}: training needs exactly 2 views, the dataset has {views.n_views}")
-        if config.knn_k > views.n_instances - 1:
-            raise ConfigError(
-                f"--knn {config.knn_k} needs more instances: the dataset has {views.n_instances}, "
-                f"so it must be at most {views.n_instances - 1}"
-            )
+    if training and views.n_views != 2:
+        raise FormatError(f"{args.data}: training needs exactly 2 views, the dataset has {views.n_views}")
     n_clusters = int(np.unique(labels).size)
     if n_clusters < 2:
         raise FormatError(f"labels.csv: {n_clusters} distinct label, need at least 2 clusters")
@@ -199,6 +193,15 @@ def _mask_for(views, stored_mask, eta, seed):
     return make_mask(views.n_instances, views.n_views, eta, seed), MASK_PRNG
 
 
+def _check_knn(mask, stored_mask, eta, config):
+    """Refuse a ``--knn`` that is not below every view's observed rows of
+    ``mask``; a view with fewer than 2 fails training as bad data instead."""
+    for v, n_obs in enumerate(mask.sum(axis=0)):
+        if 2 <= n_obs <= config.knn_k:
+            source = "mask.csv" if stored_mask is not None else f"eta {eta}"
+            raise ConfigError(f"{source}, seed {config.seed}, view {v}: --knn must lie in [1, {n_obs - 1}], got {config.knn_k}")
+
+
 def _history_csv(result) -> str:
     lines = ["epoch,l_ins,l_clu,l_hg,total,acc,nmi,ari"]
     for epoch, breakdown in enumerate(result.history):
@@ -210,8 +213,9 @@ def _history_csv(result) -> str:
 
 def cmd_run(args) -> int:
     config, eta = _settings(args)
-    views, labels, stored_mask, n_clusters = _load_for_run(args, config)
+    views, labels, stored_mask, n_clusters = _load_for_run(args, training=True)
     mask, mask_source = _mask_for(views, stored_mask, eta, config.seed)
+    _check_knn(mask, stored_mask, eta, config)
     result = train(views, mask, n_clusters, config, labels=labels)
 
     out_dir = Path(args.out)
@@ -334,10 +338,7 @@ def _run_grid(views, labels, n_clusters, stored_mask, tasks):
 
     masks = {(eta, config.seed): _mask_for(views, stored_mask, eta, config.seed)[0] for eta, config in tasks}
     for eta, config in tasks:
-        for v, n_obs in enumerate(masks[eta, config.seed].sum(axis=0)):
-            if 2 <= n_obs <= config.knn_k:  # fewer than 2 fails the cell as bad data, as in `run`
-                source = "mask.csv" if stored_mask is not None else f"eta {eta}"
-                raise ConfigError(f"{source}, seed {config.seed}, view {v}: k must lie in [1, {n_obs - 1}], got {config.knn_k}")
+        _check_knn(masks[eta, config.seed], stored_mask, eta, config)
     data = (views, labels, n_clusters, masks)
     cores = _usable_cores()
     workers = min(len(tasks), cores)
@@ -399,7 +400,7 @@ def _finish_grid(args, command, csv_name, csv_lines, manifest_config, parallelis
 
 def cmd_sweep(args) -> int:
     config, _ = _settings(args)
-    views, labels, stored_mask, n_clusters = _load_for_run(args, config)
+    views, labels, stored_mask, n_clusters = _load_for_run(args, training=True)
     if stored_mask is not None:
         raise ConfigError(f"{args.data} has a mask.csv: sweep sets the missing rates itself, from --etas")
     etas = _parse_list(args.etas, "--etas", float) if args.etas is not None else list(DEFAULT_ETAS)
@@ -422,7 +423,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_ablate(args) -> int:
     base, eta = _settings(args)
-    views, labels, stored_mask, n_clusters = _load_for_run(args, base)
+    views, labels, stored_mask, n_clusters = _load_for_run(args, training=True)
     seeds = _parse_seeds(args.seeds)
     mask_source = _mask_for(views, stored_mask, eta, base.seed)[1]  # the same for every cell
     grid = [(eta, replace(base, seed=seed, ablation=mode)) for mode in ABLATION_MODES for seed in seeds]
@@ -462,8 +463,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    views, labels, stored_mask, n_clusters = _load_for_run(args)
     config, eta = _settings(args)
+    views, labels, stored_mask, n_clusters = _load_for_run(args)
     mask, _ = _mask_for(views, stored_mask, eta, config.seed)
     report = baseline(views, mask, labels, n_clusters, args.kind, seed=config.seed)
     print(f"{args.kind}: acc={report.acc:.6f} nmi={report.nmi:.6f} ari={report.ari:.6f}")

@@ -96,10 +96,6 @@ class DiffNode:
     def __matmul__(self, other):
         return matmul(self, _ensure(other))
 
-    def __repr__(self):
-        r, c = self.value.shape
-        return f"DiffNode({r}x{c})"
-
 
 def constant(data) -> DiffNode:
     """Wrap data as an inactive leaf: :func:`backward` never differentiates it."""
@@ -159,8 +155,6 @@ def elementwise(a: DiffNode, b: DiffNode, kind: str) -> DiffNode:
             lambda g: _unbroadcast(g * bv, ash),
             lambda g: _unbroadcast(g * av, bsh),
         )
-    else:
-        raise ConfigError(f"unknown elementwise kind {kind!r}")
     return DiffNode(out, (a, b), vjps)
 
 
@@ -196,8 +190,6 @@ def unary(a: DiffNode, kind: str) -> DiffNode:
     elif kind == "neg":
         out = -av
         vjp = lambda g: -g
-    else:
-        raise ConfigError(f"unknown unary kind {kind!r}")
     return DiffNode(out, (a,), (vjp,))
 
 
@@ -214,8 +206,6 @@ def reduce(a: DiffNode, kind: str) -> DiffNode:
     elif kind == "col_sum":
         out = av.sum(axis=0, keepdims=True)
         vjp = lambda g: np.broadcast_to(g, av.shape).copy()
-    else:
-        raise ConfigError(f"unknown reduce kind {kind!r}")
     return DiffNode(out, (a,), (vjp,))
 
 
@@ -357,11 +347,6 @@ def gcn_layer(h: DiffNode, operator, w: DiffNode, residual: bool = False) -> Dif
 def concat_cols(nodes) -> DiffNode:
     """Stack matrices side by side; all must share the row count."""
     nodes = [_ensure(n) for n in nodes]
-    if not nodes:
-        raise ShapeError("concat_cols of an empty list")
-    rows = nodes[0].value.shape[0]
-    if any(n.value.shape[0] != rows for n in nodes):
-        raise ShapeError("concat_cols operands disagree on row count")
     out = np.hstack([n.value for n in nodes])
     offsets = np.cumsum([0] + [n.value.shape[1] for n in nodes])
     vjps = tuple(
@@ -471,18 +456,14 @@ class AdamState:
         self.second_moment = [np.zeros_like(p.value) for p in self.params]
 
 
-def adam_step(state: AdamState, grads=None):
-    """One in-place Adam update; grads default to each param's .grad."""
-    params = state.params
-    if grads is None:
-        grads = [p.grad for p in params]
-    if len(grads) != len(params):
-        raise ShapeError("grads length mismatch against optimizer state")
+def adam_step(state: AdamState):
+    """One in-place Adam update from each param's .grad."""
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.BETA1**t
     bc2 = 1.0 - state.BETA2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+    for p, m, v in zip(state.params, state.first_moment, state.second_moment):
+        g = p.grad
         if p.value.shape != g.shape:
             raise ShapeError(f"grad shape {g.shape} != param shape {p.value.shape}")
         m *= state.BETA1

@@ -801,6 +801,16 @@ def test_knn_above_a_cells_observed_rows_exits_2_before_any_cell_trains(tmp_path
     assert "got 30" in err and not out.exists()
 
 
+def test_run_knn_above_a_views_observed_rows_exits_2_before_training(dataset, tmp_path, capsys, monkeypatch):
+    # at eta 0.9 each view keeps fewer than 31 of the 36 rows, so --knn 30 < N is still too large
+    monkeypatch.setattr(cli, "train", lambda *args, **kw: pytest.fail("run trained"))
+    out = tmp_path / "o"
+    assert main(["run", "--data", str(dataset), "--out", str(out), "--eta", "0.9", "--seed", "1"] + FAST + ["--knn", "30"]) == 2
+    err = capsys.readouterr().err
+    assert "eta 0.9, seed 1, view 0: --knn must lie in [1, 22], got 30" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # ablate
 
@@ -939,6 +949,15 @@ def test_baseline_command(dataset, capsys):
     rc = main(["baseline", "--data", str(dataset), "--kind", "concat", "--eta", "0.3", "--seed", "1"])
     assert rc == 0
     assert "concat: acc=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "baseline"])
+def test_a_bad_seed_exits_2_before_the_data_is_read(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("ICMVC_SEED", "abc")
+    args = ["--data", str(tmp_path / "missing"), "--eta", "0.3"]
+    args += ["--kind", "bsv"] if command == "baseline" else ["--out", str(tmp_path / "o")]
+    assert main([command] + args) == 2
+    assert "ICMVC_SEED" in capsys.readouterr().err
 
 
 def test_eval_matches_library_on_fixture_pair(tmp_path, capsys):

@@ -237,3 +237,9 @@ def test_evaluate_report_fields():
     report = metrics.evaluate(pred, truth)
     assert report.acc == 1.0 and report.nmi == 1.0 and report.ari == 1.0
     assert report.to_dict() == {"acc": 1.0, "nmi": 1.0, "ari": 1.0}
+
+
+def test_evaluate_reads_column_label_arrays_as_their_1d_form():
+    rng = np.random.default_rng(11)
+    truth, pred = random_labels(rng, 40, 3), random_labels(rng, 40, 4)
+    assert metrics.evaluate(pred.reshape(-1, 1), truth.reshape(-1, 1)) == metrics.evaluate(pred, truth)

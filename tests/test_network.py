@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy import sparse
 
 from icmvc import network as net
 from icmvc import numkit as nk
-from icmvc.errors import ConfigError, ShapeError
+from icmvc.errors import ConfigError, FormatError, ShapeError
 from oracles import dense_to_keys, numeric_gradient, relative_error
 
 
@@ -354,3 +355,14 @@ def test_checkpoint_shape_mismatch(tmp_path):
     other = net.init_model([3, 5], 3, hidden_dim=16, embed_dim=4, gcn_layers=2, seed=0)
     with pytest.raises(ShapeError):
         net.load_checkpoint(other, tmp_path / "ckpt")
+
+
+def test_checkpoint_missing_a_parameter_raises_format_error(tmp_path):
+    params, _, _ = tiny_setup(seed=9)
+    net.save_checkpoint(params, tmp_path / "ckpt")
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    dropped = next(iter(manifest["shapes"]))
+    del manifest["shapes"][dropped]
+    (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=dropped):
+        net.load_checkpoint(params, tmp_path / "ckpt")

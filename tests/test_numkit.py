@@ -579,16 +579,19 @@ def test_adam_rejects_nonpositive_lr():
 def test_adam_zero_gradient_leaves_params_unchanged():
     p = nk.leaf(np.array([[1.0, -2.0]]))
     state = nk.AdamState([p], lr=0.1)
-    nk.adam_step(state, grads=[np.zeros((1, 2))])
+    p.grad[:] = 0.0
+    nk.adam_step(state)
     np.testing.assert_array_equal(p.value, [[1.0, -2.0]])
 
 
 def test_adam_moments_decay_under_zero_gradient():
     p = nk.leaf(np.array([[1.0, -2.0]]))
     state = nk.AdamState([p], lr=0.1)
-    nk.adam_step(state, grads=[np.array([[1.0, 1.0]])])
+    p.grad[:] = [[1.0, 1.0]]
+    nk.adam_step(state)
     moment_before = state.first_moment[0].copy()
-    nk.adam_step(state, grads=[np.zeros((1, 2))])
+    p.grad[:] = 0.0
+    nk.adam_step(state)
     np.testing.assert_allclose(state.first_moment[0], 0.9 * moment_before)
 
 
@@ -596,7 +599,8 @@ def test_adam_first_step_moves_by_lr():
     # w=1, loss w^2, gradient 2: the bias-corrected first step is about lr
     p = nk.leaf(np.array([[1.0]]))
     state = nk.AdamState([p], lr=0.001)
-    nk.adam_step(state, grads=[np.array([[2.0]])])
+    p.grad[:] = 2.0
+    nk.adam_step(state)
     assert abs(p.value[0, 0] - 0.999) < 1e-9
 
 
@@ -613,6 +617,7 @@ def test_adam_converges_on_quadratic():
 def test_adam_step_count_increments():
     p = nk.leaf(np.zeros((1, 1)))
     state = nk.AdamState([p], lr=0.1)
+    p.grad[:] = 1.0
     for expected in (1, 2, 3):
-        nk.adam_step(state, grads=[np.ones((1, 1))])
+        nk.adam_step(state)
         assert state.step_count == expected
