@@ -4,8 +4,8 @@ weight-shared soft classifier.
 
 All encoders end at a common hidden width so the fused representation is a
 row-wise convex combination of the per-view ones and a single classifier can
-serve every path. Every GCN layer is one ``nk.gcn_layer`` node and every
-affine layer one ``nk.affine`` node.
+serve every path. Every GCN layer is one ``nk.gcn_layer`` node, every
+affine layer one ``nk.affine`` node and the attention mix one ``nk.mix`` node.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class TwoLayerMLP:
     w2: nk.DiffNode
     b2: nk.DiffNode
 
-    def apply(self, x: nk.DiffNode) -> nk.DiffNode:
+    def apply(self, x: nk.DiffNode | list) -> nk.DiffNode:
         return nk.affine(nk.affine(x, self.w1, self.b1, "relu"), self.w2, self.b2)
 
     def parameters(self):
@@ -139,15 +139,11 @@ def attention_fuse(per_view, fusion: TwoLayerMLP, tau_att: float):
     the weight ratio between any two views at e**(1/tau).
     """
     n_views = len(per_view)
-    scores = fusion.apply(nk.concat_cols(per_view))
+    scores = fusion.apply(per_view)  # a list: no N x (V*d) stack outlives the forward
     if scores.value.shape[1] != n_views:
         raise ShapeError(f"fusion head emits {scores.value.shape[1]} scores for {n_views} views")
     lam = nk.row_softmax(nk.unary(scores, "sigmoid"), tau_att)
-    fused = None
-    for v, h in enumerate(per_view):
-        contribution = nk.slice_cols(lam, v, v + 1) * h
-        fused = contribution if fused is None else fused + contribution
-    return fused, lam
+    return nk.mix(lam, per_view), lam
 
 
 def classify(h: nk.DiffNode, classifier_w: nk.DiffNode, classifier_b: nk.DiffNode) -> nk.DiffNode:

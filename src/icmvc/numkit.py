@@ -11,11 +11,12 @@ is eager; the gradients of active leaves are the same numbers that running
 every vjp into zero-filled buffers would give. Only leaves keep ``grad``
 after :func:`backward`: an interior node's is freed once its vjps have run.
 The fused ops are one node each whose hand-written vjps read only the upstream
-gradient and arrays the forward saved: :func:`affine` for a dense layer,
+gradient and arrays the forward saved: :func:`affine` for a dense layer over
+one input or a list of them, :func:`mix` for a per-row weighted sum of nodes,
 :func:`gcn_layer` for a graph-convolution layer over a constant operator (dense
 or ``scipy.sparse``, never a node), and :func:`contrast_pair` for a whole
 contrastive loss, which computes its gradients in the forward, one row block
-of its pair matrix at a time.
+of its pair matrix at a time. None saves an array its vjps do not read.
 
 Numerical conventions (applied uniformly so downstream losses never see a
 NaN from an in-contract input):
@@ -226,12 +227,14 @@ def row_softmax(a: DiffNode, temperature: float) -> DiffNode:
     return DiffNode(s, (a,), (vjp,))
 
 
-def _unit_rows(av: np.ndarray):
-    """Rows of ``av`` at unit L2 norm (a zero row stays zero, with zero gradient) and their vjp."""
+def _unit_rows(av: np.ndarray, out=None):
+    """Rows of ``av`` at unit L2 norm (a zero row stays zero, with zero gradient), written
+    into ``out`` when given, and their vjp."""
     norms = np.sqrt((av * av).sum(axis=1, keepdims=True))
     nonzero = norms > 0.0
     safe = np.where(nonzero, norms, 1.0)
-    out = np.where(nonzero, av / safe, 0.0)
+    out = np.divide(av, safe, out=out)
+    out[~nonzero[:, 0]] = 0.0
 
     def vjp(g):
         inner = (g * out).sum(axis=1, keepdims=True)
@@ -265,12 +268,12 @@ def contrast_pair(a: DiffNode, b: DiffNode, tau: float) -> DiffNode:
     a, b = _ensure(a), _ensure(b)
     if a.value.shape != b.value.shape:
         raise ShapeError(f"contrast_pair operands differ: {a.value.shape} vs {b.value.shape}")
-    n = a.value.shape[0]
-    na, unit_vjp_a = _unit_rows(a.value)
-    nb, unit_vjp_b = _unit_rows(b.value)
-    z = np.vstack([na, nb])
+    n, d = a.value.shape
+    z = np.empty((2 * n, d))  # the unit rows of a over those of b
+    unit_vjp_a, unit_vjp_b = _unit_rows(a.value, z[:n])[1], _unit_rows(b.value, z[n:])[1]
     r, positives = np.empty((2 * n, 1)), np.empty(n)
-    products = np.zeros((2 * n, 2 * z.shape[1]))  # E [Z, Z / r]
+    products = np.zeros((2 * n, 2 * d))  # E [Z, Z / r]
+    pair = np.empty((min(CONTRAST_BLOCK_ROWS, 2 * n), 2 * d))  # one block's [Z_B, Z_B / r_B]
     for start in range(0, 2 * n, CONTRAST_BLOCK_ROWS):
         stop = start + CONTRAST_BLOCK_ROWS
         zb = z[start:stop]
@@ -280,7 +283,10 @@ def contrast_pair(a: DiffNode, b: DiffNode, tau: float) -> DiffNode:
         np.exp(e, out=e)
         r[start:stop] = np.maximum(e.sum(axis=1, keepdims=True), EPS)
         # E is symmetric: its columns in this block are the block's rows transposed
-        products += e.T @ np.hstack([zb, (1.0 / r[start:stop]) * zb])
+        block = pair[: zb.shape[0]]
+        block[:, :d] = zb
+        np.multiply(1.0 / r[start:stop], zb, out=block[:, d:])
+        products += e.T @ block
         del e  # freed before the next block's
     value = np.log(r).sum() - 2.0 * positives.sum() / tau
     # dL/dZ = (E Z / r + E (Z / r) - 2 [Z_b; Z_a]) / tau
@@ -291,17 +297,23 @@ def contrast_pair(a: DiffNode, b: DiffNode, tau: float) -> DiffNode:
     return DiffNode([[value]], (a, b), (lambda g: g[0, 0] * grad_a, lambda g: g[0, 0] * grad_b))
 
 
-def affine(x: DiffNode, w: DiffNode, b: DiffNode, act: str | None = None) -> DiffNode:
+def affine(x: DiffNode | list, w: DiffNode, b: DiffNode, act: str | None = None) -> DiffNode:
     """``act(x @ w + b)`` as one node, for a 1 x C bias row and ``act`` None or ``"relu"``.
 
-    With relu, the node keeps the bool mask of its positive outputs, and each
-    vjp applies it to the upstream gradient; each returns a fresh array.
+    ``x`` is one node or a list of nodes that share a row count. A list is
+    stacked side by side only for the forward product: input v's vjp reads
+    its own rows of ``w``, and the weight vjp stacks the per-input products,
+    so no stacked copy stays on the tape. With relu, the node keeps the bool
+    mask of its positive outputs, and each vjp applies it to the upstream
+    gradient; each returns a fresh array.
     """
-    x, w, b = _ensure(x), _ensure(w), _ensure(b)
-    xv, wv = x.value, w.value
-    if xv.shape[1] != wv.shape[0] or b.value.shape != (1, wv.shape[1]):
-        raise ShapeError(f"affine {xv.shape} @ {wv.shape} + {b.value.shape}")
-    out = xv @ wv
+    xs = [_ensure(n) for n in x] if isinstance(x, list) else [_ensure(x)]
+    w, b = _ensure(w), _ensure(b)
+    xvs, wv = [n.value for n in xs], w.value
+    bounds = np.cumsum([0] + [xv.shape[1] for xv in xvs])
+    if bounds[-1] != wv.shape[0] or b.value.shape != (1, wv.shape[1]):
+        raise ShapeError(f"affine {[xv.shape for xv in xvs]} @ {wv.shape} + {b.value.shape}")
+    out = (np.hstack(xvs) if len(xvs) > 1 else xvs[0]) @ wv  # the stacked inputs die here
     out += b.value
     if act is None:
         masked = lambda g: g
@@ -311,12 +323,30 @@ def affine(x: DiffNode, w: DiffNode, b: DiffNode, act: str | None = None) -> Dif
         masked = lambda g: g * positive
     else:
         raise ConfigError(f"unknown affine activation {act!r}")
-    vjps = (
-        lambda g: masked(g) @ wv.T,
-        lambda g: xv.T @ masked(g),
-        lambda g: masked(g).sum(axis=0, keepdims=True),
-    )
-    return DiffNode(out, (x, w, b), vjps)
+
+    def weight_vjp(g):
+        g = masked(g)
+        return np.vstack([xv.T @ g for xv in xvs]) if len(xvs) > 1 else xvs[0].T @ g
+
+    vjps = tuple((lambda g, rows=wv[lo:hi]: masked(g) @ rows.T) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    vjps += (weight_vjp, lambda g: masked(g).sum(axis=0, keepdims=True))
+    return DiffNode(out, (*xs, w, b), vjps)
+
+
+def mix(weights: DiffNode, nodes) -> DiffNode:
+    """``sum_v weights[:, v] * nodes[v]`` as one node, added left to right, for N x V ``weights``.
+
+    The vjps read only ``weights`` and the nodes' values, which their own
+    nodes already hold: no per-view product stays on the tape.
+    """
+    weights, nodes = _ensure(weights), [_ensure(n) for n in nodes]
+    wv, hvs = weights.value, [n.value for n in nodes]
+    out = wv[:, :1] * hvs[0]
+    for v in range(1, len(hvs)):
+        out += wv[:, v : v + 1] * hvs[v]
+    vjps = (lambda g: np.hstack([(g * hv).sum(axis=1, keepdims=True) for hv in hvs]),)
+    vjps += tuple((lambda g, col=wv[:, v : v + 1]: g * col) for v in range(len(hvs)))
+    return DiffNode(out, (weights, *nodes), vjps)
 
 
 def gcn_layer(h: DiffNode, operator, w: DiffNode, residual: bool = False) -> DiffNode:
@@ -342,33 +372,6 @@ def gcn_layer(h: DiffNode, operator, w: DiffNode, residual: bool = False) -> Dif
     else:
         vjp_h = lambda g: operator.T @ ((g * positive) @ wv.T)
     return DiffNode(out, (h, w), (vjp_h, lambda g: propagated.T @ (g * positive)))
-
-
-def concat_cols(nodes) -> DiffNode:
-    """Stack matrices side by side; all must share the row count."""
-    nodes = [_ensure(n) for n in nodes]
-    out = np.hstack([n.value for n in nodes])
-    offsets = np.cumsum([0] + [n.value.shape[1] for n in nodes])
-    vjps = tuple(
-        (lambda g, lo=lo, hi=hi: g[:, lo:hi])
-        for lo, hi in zip(offsets[:-1], offsets[1:])
-    )
-    return DiffNode(out, tuple(nodes), vjps)
-
-
-def slice_cols(a: DiffNode, start: int, stop: int) -> DiffNode:
-    """Column slice ``a[:, start:stop]`` (inverse of concat_cols)."""
-    a = _ensure(a)
-    if not (0 <= start < stop <= a.value.shape[1]):
-        raise ShapeError(f"slice [{start}:{stop}] out of range for {a.value.shape}")
-    out = a.value[:, start:stop].copy()
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        full[:, start:stop] = g
-        return full
-
-    return DiffNode(out, (a,), (vjp,))
 
 
 def transpose(a: DiffNode) -> DiffNode:

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from icmvc import graphs
+from icmvc import graphs, make_mask, synth_blobs
 from icmvc.dataio import ViewSet
 from icmvc.errors import ConfigError, DataError, DegenerateGraphError
 from icmvc.graphs import (
@@ -492,3 +492,19 @@ def test_prepare_builds_one_csr_matrix_per_view(monkeypatch):
         mask[np.arange(0, n, 4), np.arange(0, n, 4) % n_views] = False
         operators, _ = prepare(views, mask, TrainConfig(knn_k=4))
         assert len(built) == n_views == len(operators)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rbf_bandwidth_leaves_prepares_operators_unchanged(seed):
+    # the operator is built from the KNN 0/1 pattern, and exp(-d2 / t) orders
+    # neighbours as d2 does for any t: the bandwidth can move an edge only where
+    # exp rounds two distances that decide a row's k nearest to one value, as
+    # an underflow to 0 does
+    views, _ = synth_blobs(300, 2, 3, dim=10, noise_sigma=0.5, seed=seed)
+    for eta in (0.0, 0.3, 0.7):
+        mask = make_mask(300, 2, eta, seed)
+        runs = []
+        for bandwidth in (None, 0.05, 0.5, 2.0, 50.0):
+            operators, _ = prepare(views, mask, TrainConfig(bandwidth=bandwidth))
+            runs.append([(op.indptr.tobytes(), op.indices.tobytes(), op.data.tobytes()) for op in operators])
+        assert all(run == runs[0] for run in runs[1:])

@@ -133,21 +133,17 @@ def test_row_l2_normalize_unit_rows_and_zero_row():
     np.testing.assert_array_equal(out.value[2], np.zeros(4))
 
 
-def test_concat_slice_transpose_diag_gradients():
+def test_transpose_diag_gradients():
     rng = np.random.default_rng(4)
-    a = nk.leaf(rng.normal(size=(3, 2)))
-    b = nk.leaf(rng.normal(size=(3, 3)))
+    a = nk.leaf(rng.normal(size=(3, 4)))
 
     def build():
-        cat = nk.concat_cols([a, b])
-        piece = nk.slice_cols(cat, 1, 4)
-        sym = nk.matmul(piece, nk.transpose(piece))
-        return nk.reduce(nk.unary(diag := nk.diag_col(sym), "square"), "sum")
+        sym = nk.matmul(a, nk.transpose(a))
+        return nk.reduce(nk.unary(nk.diag_col(sym), "square"), "sum")
 
     nk.backward(build())
-    for node in (a, b):
-        numeric = numeric_gradient(lambda: scalar(build()), node.value)
-        assert relative_error(node.grad, numeric) < 1e-5
+    numeric = numeric_gradient(lambda: scalar(build()), a.value)
+    assert relative_error(a.grad, numeric) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +376,57 @@ def test_affine_gradients_match_finite_differences(act):
 
     nk.backward(build())
     for node in (x, w, b):
+        numeric = numeric_gradient(lambda: scalar(build()), node.value)
+        assert relative_error(node.grad, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("act", [None, "relu"])
+def test_affine_over_a_list_gradients_match_finite_differences(act):
+    rng = np.random.default_rng(29)
+    xs = [nk.leaf(rng.normal(size=(5, d))) for d in (3, 2, 4)]
+    w, b = nk.leaf(rng.normal(size=(9, 4))), nk.leaf(rng.normal(size=(1, 4)))
+
+    def build():
+        return weighted_square_sum(nk.affine(xs, w, b, act))
+
+    nk.backward(build())
+    for node in (*xs, w, b):
+        numeric = numeric_gradient(lambda: scalar(build()), node.value)
+        assert relative_error(node.grad, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("n", [150, 300, 1000])
+def test_affine_over_a_list_equals_affine_over_their_hstack_bit_for_bit(n):
+    # the fusion head's shapes: two N x 128 views into 128 relu units
+    rng = np.random.default_rng(n)
+    values = [rng.normal(size=(n, 128)) for _ in range(2)]
+    w, b, weights = rng.normal(size=(256, 128)), rng.normal(size=(1, 128)), rng.normal(size=(n, 128))
+    listed = [nk.leaf(v) for v in values]
+    stacked = nk.leaf(np.hstack(values))
+    grads = []
+    for x in (listed, stacked):
+        wn, bn = nk.leaf(w), nk.leaf(b)
+        out = nk.affine(x, wn, bn, "relu")
+        nk.backward(nk.reduce(out * weights, "sum"))
+        grads.append((out.value, wn.grad, bn.grad))
+    for got, want in zip(*grads):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.hstack([x.grad for x in listed]), stacked.grad)
+
+
+def test_mix_gradients_match_finite_differences():
+    rng = np.random.default_rng(30)
+    weights = nk.leaf(rng.random(size=(5, 3)))
+    hs = [nk.leaf(rng.normal(size=(5, 4))) for _ in range(3)]
+    out = nk.mix(weights, hs)
+    want = weights.value[:, :1] * hs[0].value + weights.value[:, 1:2] * hs[1].value + weights.value[:, 2:] * hs[2].value
+    np.testing.assert_array_equal(out.value, want)  # added left to right
+
+    def build():
+        return weighted_square_sum(nk.mix(weights, hs))
+
+    nk.backward(build())
+    for node in (weights, *hs):
         numeric = numeric_gradient(lambda: scalar(build()), node.value)
         assert relative_error(node.grad, numeric) < 1e-6
 
