@@ -26,7 +26,7 @@ import numpy as np
 from .dataio import (
     MASK_PRNG, atomic_write, check_mask, load_dataset, make_mask, read_labels, save_dataset, synth_blobs, write_matrix,
 )
-from .errors import ConfigError, DataError, DivergenceError, FormatError, IcmvcError
+from .errors import ConfigError, DivergenceError, FormatError, IcmvcError
 from .metrics import evaluate
 from .network import save_checkpoint
 from .trainer import ABLATION_MODES, TrainConfig, baseline, train
@@ -109,13 +109,8 @@ def load_file_values(args) -> dict:
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value can stand for a field typed int, float, bool or an optional of one."""
-    kinds = typing.get_args(hint) or (hint,)
-    if value is None or isinstance(value, bool):
-        return type(value) in kinds
-    if float in kinds:
-        kinds += (int,)
-    return isinstance(value, tuple(k for k in kinds if k is not bool))
+    """Whether a JSON value can stand for a field typed int, float or str; a bool or null fits none."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if hint is float else hint)
 
 
 def _settings(args) -> tuple[TrainConfig, float | None]:
@@ -450,8 +445,6 @@ def cmd_ablate(args) -> int:
 def cmd_eval(args) -> int:
     pred = read_labels(Path(args.pred))
     truth = read_labels(Path(args.truth))
-    if pred.shape[0] != truth.shape[0]:
-        raise DataError(f"label lengths differ: {pred.shape[0]} vs {truth.shape[0]}")
     report = evaluate(pred, truth)
     if args.out:
         out_dir = Path(args.out)
@@ -486,7 +479,6 @@ def _add_train_flags(parser):
     parser.add_argument("--dim", dest="hidden_dim", type=int, help="encoder hidden width")
     parser.add_argument("--embed-dim", dest="embed_dim", type=int)
     parser.add_argument("--layers", dest="gcn_layers", type=int)
-    parser.add_argument("--bandwidth", dest="bandwidth", type=float)
     parser.add_argument("--no-scale", action="store_true", help="skip per-view min-max scaling at load")
 
 

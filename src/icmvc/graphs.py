@@ -68,12 +68,9 @@ def rbf_similarity(d2: np.ndarray, t: float) -> np.ndarray:
     """exp(-squared distance / t) among the observed instances of a view.
 
     ``d2`` holds their squared distances in index order; so does the
-    returned n_obs x n_obs block.
+    returned n_obs x n_obs block. ``t`` must be positive, as
+    :func:`median_bandwidth`'s always is.
     """
-    if t <= 0:
-        raise ConfigError(f"rbf bandwidth must be positive, got {t}")
-    if d2.shape[0] < 2:
-        raise DataError("need at least 2 observed instances to build a graph")
     with np.errstate(over="ignore"):  # a subnormal t sends far pairs to -inf, whose exp is the 0 they tend to
         sims = d2 / -t  # equals -d2 / t bit for bit, without the extra temporary
     return np.exp(sims, out=sims)

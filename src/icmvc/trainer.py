@@ -51,7 +51,6 @@ class TrainConfig:
     uses: ``full`` (all three), ``no-ins``, ``no-hg`` or ``no-hg-no-clu``."""
 
     knn_k: int = 10
-    bandwidth: float | None = None  # None -> per-view median heuristic
     lr: float = 0.001
     epochs: int = 500
     tau_instance: float = 1.0
@@ -67,8 +66,7 @@ class TrainConfig:
         for name in ("epochs", "knn_k", "hidden_dim", "embed_dim", "gcn_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        bandwidth = ("bandwidth",) if self.bandwidth is not None else ()  # None: median heuristic
-        for name in ("lr", "tau_instance", "tau_cluster", "tau_attention") + bandwidth:
+        for name in ("lr", "tau_instance", "tau_cluster", "tau_attention"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
@@ -96,21 +94,19 @@ def prepare(views: ViewSet, mask: np.ndarray, config: TrainConfig):
     and symmetrization on sorted edge keys ``i * N + j``; ``normalize`` makes
     each view's keys into its CSR operator, the only sparse matrix built.
     Returns the operators and the zero-filled features."""
+    filled = zero_fill(views, mask)  # first: it rejects a mask whose shape does not match the data
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (views.n_instances, views.n_views):
-        raise DataError(f"mask shape {mask.shape} does not match data")
     n = views.n_instances
     raw = []
     for v in range(views.n_views):
         observed = mask[:, v]
         d2 = squared_distances(views.views[v][observed])
-        t = config.bandwidth if config.bandwidth is not None else median_bandwidth(d2)
-        sim = rbf_similarity(d2, t)
+        sim = rbf_similarity(d2, median_bandwidth(d2))
         del d2  # one n_obs² block fewer alive through the KNN step
         raw.append(knn_adjacency(sim, observed, config.knn_k))
         del sim  # and none left over while the next view's distances form
     operators = [normalize(key, n) for key in finalize_adjacency(transfer_relations(raw, mask), n)]
-    return operators, zero_fill(views, mask)
+    return operators, filled
 
 
 @functools.cache

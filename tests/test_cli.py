@@ -373,13 +373,13 @@ def test_config_file_naming_a_directory_exits_2(dataset, tmp_path, capsys, monke
     assert err.startswith("error: cannot read config file") and err.count("\n") == 1
 
 
-def test_config_file_null_bandwidth_is_the_median_heuristic(dataset, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bandwidth": None}))
-    run = ["run", "--data", str(dataset), "--eta", "0.3", "--seed", "1"] + FAST
-    assert main(run + ["--config", str(cfg), "--out", str(tmp_path / "null")]) == 0
-    assert main(run + ["--out", str(tmp_path / "default")]) == 0
-    assert (tmp_path / "null" / "history.csv").read_bytes() == (tmp_path / "default" / "history.csv").read_bytes()
+def test_run_bandwidth_flag_is_unrecognized(dataset, tmp_path, capsys):
+    # the graph takes the KNN 0/1 pattern, which no RBF bandwidth changes, so there is none to set
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--data", str(dataset), "--eta", "0.3", "--bandwidth", "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bandwidth 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_training_flags_store_into_config_fields():
@@ -400,7 +400,7 @@ def test_every_config_field_is_set_by_a_run_flag():
     "key, value",
     [
         ("transfer_rule", "copy"), ("target_interval", 1), ("kmeans_restarts", 20),
-        ("include_self", True), ("use_ins", False), ("use_clu", False), ("use_hg", False),
+        ("include_self", True), ("use_ins", False), ("use_clu", False), ("use_hg", False), ("bandwidth", 2.0),
     ],
 )
 def test_run_config_file_with_removed_key_exits_2(dataset, tmp_path, capsys, key, value):
@@ -408,7 +408,7 @@ def test_run_config_file_with_removed_key_exits_2(dataset, tmp_path, capsys, key
     cfg.write_text(json.dumps({key: value}))
     rc = main(["run", "--data", str(dataset), "--eta", "0.3", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert key in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: unknown config keys: [{key!r}]\n"
 
 
 def test_run_config_file_names_an_ablation(dataset, tmp_path, capsys):
@@ -447,6 +447,7 @@ def test_run_ablate_full_overrides_a_config_file(dataset, tmp_path):
         (["run", "--eta", "0.3"], {"knn_k": 2.5}, "'knn_k'"),
         (["run"], {"eta": "x"}, "'eta'"),
         (["run"], {"eta": True}, "'eta'"),
+        (["run"], {"epochs": None}, "'epochs'"),
     ],
 )
 def test_malformed_list_flag_or_config_value_exits_2(dataset, tmp_path, capsys, args, config, named):
@@ -473,7 +474,7 @@ def test_malformed_list_flag_or_config_value_exits_2(dataset, tmp_path, capsys, 
         ("run", ["--tau-i", "inf"], None, None, "tau_instance"),
         ("run", ["--embed-dim", "0"], None, None, "embed_dim"),
         ("run", ["--dim", "0"], None, None, "hidden_dim"),
-        ("run", ["--bandwidth", "nan"], None, None, "bandwidth"),
+        ("run", ["--layers", "0"], None, None, "gcn_layers"),
         ("gen", ["--views", "0"], None, None, "view"),
         ("gen", ["--dim", "0"], None, None, "dimension"),
         ("gen", ["--sigma", "nan"], None, None, "noise_sigma"),
@@ -870,11 +871,15 @@ def test_eval_permuted_ids_scores_one(dataset, tmp_path, capsys):
     assert "acc=1.000000" in capsys.readouterr().out
 
 
-def test_eval_length_mismatch_exits_3(dataset, tmp_path):
+def test_eval_length_mismatch_exits_3(dataset, tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("0\n1\n")
-    rc = main(["eval", "--pred", str(short), "--truth", str(dataset / "labels.csv")])
+    n = len((dataset / "labels.csv").read_text().split())
+    out = tmp_path / "scores"
+    rc = main(["eval", "--pred", str(short), "--truth", str(dataset / "labels.csv"), "--out", str(out)])
     assert rc == 3
+    assert capsys.readouterr().err == f"error: label lengths differ: 2 vs {n}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("truth", ["0\n-1\n1\n", "0\n0.5\n1\n", "0\n9007199254740993\n1\n"])

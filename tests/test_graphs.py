@@ -132,14 +132,6 @@ def test_rbf_three_points():
     np.testing.assert_allclose(s, s.T)
 
 
-def test_rbf_rejects_bad_bandwidth_and_degenerate_input():
-    x = np.zeros((3, 2))
-    with pytest.raises(ConfigError):
-        similarity(x, ALL_OBSERVED(3), t=0.0)
-    with pytest.raises(DataError):
-        similarity(x, np.array([True, False, False]), t=1.0)
-
-
 def test_rbf_subnormal_bandwidth_zeroes_distinct_pairs_without_a_warning():
     # d2 / -1e-320 overflows to -inf; the suite turns a RuntimeWarning into an error
     d2 = squared_distances(np.array([[0.0], [1.0], [3.0]]))
@@ -464,7 +456,7 @@ def test_csr_operators_equal_dense_loop_oracle_array_for_array(seed, n_views, ru
         return
     built = [[normalize(a, n) for a in finalize_adjacency(transfer_relations(raw, mask, rule), n)]]
     if rule == "copy":  # the rule prepare() applies
-        built.append(prepare(ViewSet(views), mask, TrainConfig(knn_k=k, bandwidth=2.0))[0])
+        built.append(prepare(ViewSet(views), mask, TrainConfig(knn_k=k))[0])
     for ops in built:
         for v in range(n_views):
             oracle = sparse.csr_matrix(expected_ops[v])
@@ -495,16 +487,29 @@ def test_prepare_builds_one_csr_matrix_per_view(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_rbf_bandwidth_leaves_prepares_operators_unchanged(seed):
+def test_rbf_bandwidth_leaves_knn_keys_unchanged(seed):
     # the operator is built from the KNN 0/1 pattern, and exp(-d2 / t) orders
-    # neighbours as d2 does for any t: the bandwidth can move an edge only where
+    # neighbours as d2 does for any t: a bandwidth can move an edge only where
     # exp rounds two distances that decide a row's k nearest to one value, as
-    # an underflow to 0 does
+    # an underflow to 0 does; so prepare keeps the median heuristic, no knob
     views, _ = synth_blobs(300, 2, 3, dim=10, noise_sigma=0.5, seed=seed)
+    k = TrainConfig().knn_k
     for eta in (0.0, 0.3, 0.7):
         mask = make_mask(300, 2, eta, seed)
-        runs = []
-        for bandwidth in (None, 0.05, 0.5, 2.0, 50.0):
-            operators, _ = prepare(views, mask, TrainConfig(bandwidth=bandwidth))
-            runs.append([(op.indptr.tobytes(), op.indices.tobytes(), op.data.tobytes()) for op in operators])
-        assert all(run == runs[0] for run in runs[1:])
+        for v in range(2):
+            d2 = squared_distances(views.views[v][mask[:, v]])
+            keys = [knn_adjacency(rbf_similarity(d2, t), mask[:, v], k) for t in (median_bandwidth(d2), 0.05, 0.5, 2.0, 50.0)]
+            assert all(np.array_equal(key, keys[0]) for key in keys[1:])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 6: ranking by d2 needs the RBF passes gone")
+def test_prepare_links_an_outlier_to_its_nearest_rows():
+    # at the median bandwidth every similarity of a far outlier underflows to
+    # 0, so the tie break hands it the lowest-indexed rows, 0 to 4, not its
+    # nearest by d2; min-max scaling the view keeps the effect
+    rng = np.random.default_rng(0)
+    x = rng.random((50, 3))
+    x[7] = 40.0
+    operators, _ = prepare(ViewSet([x, x]), np.ones((50, 2), dtype=bool), TrainConfig(knn_k=5))
+    nearest = np.argsort(squared_distances(x)[7], kind="stable")[:6]  # the row itself first
+    assert np.flatnonzero(operators[0][[7]].toarray()).tolist() == sorted(nearest.tolist())

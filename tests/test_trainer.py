@@ -13,7 +13,7 @@ import pytest
 
 from icmvc import cli, trainer
 from icmvc.dataio import ViewSet, make_mask, save_dataset, synth_blobs
-from icmvc.errors import ConfigError, DivergenceError
+from icmvc.errors import ConfigError, DataError, DivergenceError
 from icmvc.network import forward
 from icmvc.trainer import ABLATION_MODES, TrainConfig, baseline, kmeans, prepare, train
 from oracles import loop_knn, loop_normalize, loop_rbf, loop_symmetrize, loop_transfer
@@ -51,7 +51,7 @@ def test_prepare_missing_row_matches_loop_construction():
     views = ViewSet([rng.integers(-8, 9, size=(n, 2)).astype(float) * 0.25 for _ in range(2)])
     mask = np.ones((n, 2), dtype=bool)
     mask[3, 0] = False
-    config = small_config(knn_k=2, bandwidth=2.0)
+    config = small_config(knn_k=2)
     ops, _ = prepare(views, mask, config)
 
     raw = []
@@ -62,6 +62,13 @@ def test_prepare_missing_row_matches_loop_construction():
     for v in range(2):
         expected = np.array(loop_normalize(loop_symmetrize(transferred[v])))
         np.testing.assert_allclose(ops[v].toarray(), expected, atol=1e-12)
+
+
+def test_prepare_rejects_a_wrong_shape_mask_before_any_graph_step(monkeypatch):
+    views, _, _ = small_problem()
+    monkeypatch.setattr(trainer, "squared_distances", lambda x: pytest.fail("a graph step ran"))
+    with pytest.raises(DataError, match="mask shape"):
+        prepare(views, np.ones((views.n_instances, 3), dtype=bool), small_config())
 
 
 def test_prepare_handles_every_instance_incomplete():
@@ -530,7 +537,7 @@ def test_baseline_rejects_unknown_kind():
         dict(tau_cluster=-1.0),
         dict(tau_attention=0.0),
         dict(knn_k=0),
-        dict(bandwidth=0.0),
+        dict(seed=-1),
         dict(ablation="custom"),
         dict(gcn_layers=0),
         dict(lr=-0.001),
