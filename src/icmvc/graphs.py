@@ -9,18 +9,66 @@ keys ``i * N + j`` of an N x N 0/1 pattern's edges and work on them with
 numpy (sort, drop repeated keys, count rows), so memory grows with the edge
 count. Keys sort in CSR order, and the diagonal is where
 ``key % (N + 1) == 0``. :func:`normalize` turns each view's keys into its
-operator, the one ``scipy.sparse`` CSR matrix built per view; the operators
-enter the computation graph as constants.
+operator, the one :class:`CsrOperator` built per view; the operators enter
+the computation graph as constants. Their products run scipy's compiled
+``scipy.sparse._sparsetools`` kernels, loaded without importing
+``scipy.sparse``, whose array-API layer costs more memory than a training.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import sparse
+import importlib.machinery
+import importlib.util
+import os
 
-from .errors import ConfigError, DataError, DegenerateGraphError
+import numpy as np
+
+from .errors import ConfigError, DataError, DegenerateGraphError, ShapeError
 
 TRANSFER_RULES = ("copy", "union", "intersection")
+
+
+def _load_sparsetools():
+    """scipy's compiled CSR kernels, loaded without running any scipy ``__init__.py``."""
+    name, scipy = "scipy.sparse._sparsetools", importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "sparse"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec(name)
+    if spec is None:
+        raise ImportError(f"icmvc needs scipy's compiled {name} extension", name=name)
+    return importlib.util.module_from_spec(spec)
+
+
+_sparsetools = _load_sparsetools()
+
+
+class CsrOperator:
+    """A float64 CSR matrix (``data``, ``indices`` and ``indptr`` as in
+    ``scipy.sparse.csr_matrix``) that multiplies dense 2-D float64 matrices.
+
+    ``op @ x`` calls scipy's compiled ``csr_matvecs`` and ``op.T @ x`` its
+    ``csc_matvecs`` on the same arrays, the kernels ``csr_matrix @ x`` and
+    ``.T @ x`` call, so the products equal scipy's bit for bit (for an N x 1
+    ``x`` scipy calls ``csr_matvec``, which sums in the same order).
+    """
+
+    def __init__(self, data, indices, indptr, shape, transposed=False):
+        self.data, self.indices, self.indptr, self.shape, self.nnz = data, indices, indptr, shape, data.size
+        self._transposed = transposed  # shape is then the CSR arrays' shape reversed
+
+    @property
+    def T(self) -> CsrOperator:
+        return CsrOperator(self.data, self.indices, self.indptr, self.shape[::-1], not self._transposed)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n_row, n_col = self.shape
+        if x.ndim != 2 or x.shape[0] != n_col:  # the kernels read and write unchecked
+            raise ShapeError(f"CsrOperator {self.shape} @ {x.shape}")
+        out = np.zeros((n_row, x.shape[1]))
+        matvecs = _sparsetools.csc_matvecs if self._transposed else _sparsetools.csr_matvecs
+        matvecs(n_row, n_col, x.shape[1], self.indptr, self.indices, self.data, x.ravel(), out.ravel())
+        return out
 
 
 def squared_distances(x: np.ndarray) -> np.ndarray:
@@ -128,8 +176,6 @@ def transfer_relations(keys_per_view: list, mask: np.ndarray, rule: str = "copy"
         raise ConfigError(f"unknown transfer rule {rule!r}")
     mask = np.asarray(mask, dtype=bool)
     n, n_views = mask.shape
-    if n_views != len(keys_per_view):
-        raise DataError("mask and edge-key list disagree on view count")
     if not mask.any(axis=1).all():
         missing = int(np.where(~mask.any(axis=1))[0][0])
         raise DataError(f"instance {missing} is missing in every view")
@@ -172,12 +218,14 @@ def finalize_adjacency(keys_per_view: list, n: int) -> list:
     return out
 
 
-def normalize(key: np.ndarray, n: int) -> sparse.csr_matrix:
+def normalize(key: np.ndarray, n: int) -> CsrOperator:
     """Symmetric normalization with self-loops: D^-1/2 (A + I) D^-1/2.
 
     ``key`` holds the sorted, distinct edge keys of a symmetric N x N 0/1
     pattern; a diagonal key counts as the self-loop. Returns the operator as
-    an N x N CSR matrix, the only one graph preparation builds. Each stored
+    an N x N :class:`CsrOperator`, the only one graph preparation builds, with
+    int32 index arrays, as ``scipy.sparse`` stores them, while its nonzeros
+    fit (N is at most the nonzeros: every row holds its self-loop). Each stored
     value is ``inv_sqrt[i] * inv_sqrt[j]`` with ``inv_sqrt = 1 /
     sqrt(degree)``, the same product the dense form ``(A + I) *
     outer(inv_sqrt, inv_sqrt)`` takes, so the operator equals it bit for bit.
@@ -187,9 +235,10 @@ def normalize(key: np.ndarray, n: int) -> sparse.csr_matrix:
     rows, cols = np.divmod(key, n)
     degree = np.bincount(rows, minlength=n)
     inv_sqrt = 1.0 / np.sqrt(degree)
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    index = np.int32 if key.size <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(degree, out=indptr[1:])
-    return sparse.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols, indptr), shape=(n, n))
+    return CsrOperator(inv_sqrt[rows] * inv_sqrt[cols], cols.astype(index), indptr, (n, n))
 
 
 def _runs(key: np.ndarray, need=None) -> np.ndarray:

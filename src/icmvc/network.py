@@ -121,10 +121,11 @@ def init_model(view_dims, n_clusters: int, hidden_dim: int, embed_dim: int, gcn_
 def encode_view(x: nk.DiffNode, operator, weights) -> nk.DiffNode:
     """Stacked relu GCN layers (``nk.gcn_layer``); from the second on, a residual is added.
 
-    ``operator`` is the view's constant propagation matrix, dense or
-    ``scipy.sparse``. The first layer changes width (view dimension to
-    hidden), so it carries no skip. Zero-filled missing rows generally become
-    nonzero here through neighbor aggregation.
+    ``operator`` is the view's constant propagation matrix: dense, or the
+    :class:`~icmvc.graphs.CsrOperator` that ``prepare`` builds, whose
+    products run scipy's compiled CSR kernels. The first layer changes width
+    (view dimension to hidden), so it carries no skip. Zero-filled missing
+    rows generally become nonzero here through neighbor aggregation.
     """
     h = nk.gcn_layer(x, operator, weights[0])
     for w in weights[1:]:
@@ -138,10 +139,7 @@ def attention_fuse(per_view, fusion: TwoLayerMLP, tau_att: float):
     Scores pass through a sigmoid before the temperature softmax, which caps
     the weight ratio between any two views at e**(1/tau).
     """
-    n_views = len(per_view)
     scores = fusion.apply(per_view)  # a list: no N x (V*d) stack outlives the forward
-    if scores.value.shape[1] != n_views:
-        raise ShapeError(f"fusion head emits {scores.value.shape[1]} scores for {n_views} views")
     lam = nk.row_softmax(nk.unary(scores, "sigmoid"), tau_att)
     return nk.mix(lam, per_view), lam
 

@@ -13,10 +13,10 @@ after :func:`backward`: an interior node's is freed once its vjps have run.
 The fused ops are one node each whose hand-written vjps read only the upstream
 gradient and arrays the forward saved: :func:`affine` for a dense layer over
 one input or a list of them, :func:`mix` for a per-row weighted sum of nodes,
-:func:`gcn_layer` for a graph-convolution layer over a constant operator (dense
-or ``scipy.sparse``, never a node), and :func:`contrast_pair` for a whole
-contrastive loss, which computes its gradients in the forward, one row block
-of its pair matrix at a time. None saves an array its vjps do not read.
+:func:`gcn_layer` for a graph-convolution layer over a constant operator (a
+numpy array or a :class:`~icmvc.graphs.CsrOperator`, never a node), and
+:func:`contrast_pair` for a whole contrastive loss, which computes its
+gradients in the forward, one row block of its pair matrix at a time. None saves an array its vjps do not read.
 
 Numerical conventions (applied uniformly so downstream losses never see a
 NaN from an in-contract input):
@@ -352,9 +352,11 @@ def mix(weights: DiffNode, nodes) -> DiffNode:
 def gcn_layer(h: DiffNode, operator, w: DiffNode, residual: bool = False) -> DiffNode:
     """``relu(operator @ h @ w)``, plus ``h`` when ``residual``, as one node.
 
-    ``operator`` is a constant matrix, a numpy array or ``scipy.sparse``, and
-    never a tape node. Forward and backward touch it only through
-    ``operator @ .`` and ``operator.T @ .``, so one path serves both kinds.
+    ``operator`` is a constant matrix, a numpy array or a
+    :class:`~icmvc.graphs.CsrOperator` (whose products run scipy's compiled
+    CSR kernels), and never a tape node. Forward and backward touch it only
+    through ``operator @ .`` and ``operator.T @ .``, so one path serves both
+    kinds.
     """
     h, w = _ensure(h), _ensure(w)
     hv, wv = h.value, w.value
@@ -467,8 +469,6 @@ def adam_step(state: AdamState):
     bc2 = 1.0 - state.BETA2**t
     for p, m, v in zip(state.params, state.first_moment, state.second_moment):
         g = p.grad
-        if p.value.shape != g.shape:
-            raise ShapeError(f"grad shape {g.shape} != param shape {p.value.shape}")
         m *= state.BETA1
         m += (1.0 - state.BETA1) * g
         v *= state.BETA2

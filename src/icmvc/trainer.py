@@ -13,7 +13,8 @@ away (``no-hg-no-clu``), final labels come from k-means on the fused
 representation.
 
 ``prepare()`` builds each view's graph as sorted edge keys and returns the
-propagation operators as ``scipy.sparse`` CSR matrices, which ``train()``
+propagation operators as :class:`~icmvc.graphs.CsrOperator` objects, CSR
+arrays multiplied by scipy's compiled sparse kernels, which ``train()``
 propagates through as they are. Only one epoch's tape is alive at a time:
 each epoch drops its references to the tape before the next forward.
 """
@@ -92,7 +93,7 @@ def prepare(views: ViewSet, mask: np.ndarray, config: TrainConfig):
     """Graph construction for every view: squared distances (once per view),
     similarity and KNN among the observed instances, then relation transfer
     and symmetrization on sorted edge keys ``i * N + j``; ``normalize`` makes
-    each view's keys into its CSR operator, the only sparse matrix built.
+    each view's keys into its ``CsrOperator``, the only sparse matrix built.
     Returns the operators and the zero-filled features."""
     filled = zero_fill(views, mask)  # first: it rejects a mask whose shape does not match the data
     mask = np.asarray(mask, dtype=bool)

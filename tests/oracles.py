@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import sparse
 
 from icmvc.errors import FormatError, ParseError
 
@@ -249,6 +250,16 @@ def loop_normalize(adj):
     return [
         [tilde[i][j] / math.sqrt(deg[i] * deg[j]) for j in range(n)] for i in range(n)
     ]
+
+
+# ---------------------------------------------------------------------------
+# operators: scipy's CSR matrix is the oracle of the propagation operator
+
+
+def scipy_csr(op) -> sparse.csr_matrix:
+    """A :class:`icmvc.graphs.CsrOperator`'s arrays as the ``scipy.sparse``
+    matrix whose products it must equal bit for bit."""
+    return sparse.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,13 @@ def toy_views():
     return dataio.ViewSet([rng.normal(size=(4, 2)), rng.normal(size=(4, 3))])
 
 
+def test_viewset_needs_views_with_one_instance_count():
+    with pytest.raises(DataError, match="at least one view"):
+        dataio.ViewSet([])
+    with pytest.raises(DataError, match="disagree on instance count"):
+        dataio.ViewSet([np.zeros((4, 2)), np.zeros((5, 2))])
+
+
 # ---------------------------------------------------------------------------
 # save / load
 

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import math
 import os
 import subprocess
@@ -12,7 +14,7 @@ from scipy import sparse
 
 from icmvc import graphs, make_mask, synth_blobs
 from icmvc.dataio import ViewSet
-from icmvc.errors import ConfigError, DataError, DegenerateGraphError
+from icmvc.errors import ConfigError, DataError, DegenerateGraphError, ShapeError
 from icmvc.graphs import (
     finalize_adjacency,
     knn_adjacency,
@@ -32,6 +34,7 @@ from oracles import (
     loop_squared_distances,
     loop_symmetrize,
     loop_transfer,
+    scipy_csr,
 )
 
 ALL_OBSERVED = lambda n: np.ones(n, dtype=bool)
@@ -314,7 +317,7 @@ def _finalized(adj):
 
 
 def _normalized(adj):
-    return normalize(dense_to_keys(adj), len(adj)).toarray()
+    return scipy_csr(normalize(dense_to_keys(adj), len(adj))).toarray()
 
 
 def test_finalize_symmetric_fixed_point():
@@ -386,7 +389,7 @@ def run_pipeline(views, mask, k, t, rule):
         raw.append(knn_adjacency(sim, mask[:, v], k))
     n = mask.shape[0]
     final = finalize_adjacency(transfer_relations(raw, mask, rule), n)
-    return [keys_to_dense(a, n) for a in final], [normalize(a, n).toarray() for a in final]
+    return [keys_to_dense(a, n) for a in final], [scipy_csr(normalize(a, n)).toarray() for a in final]
 
 
 def run_loop_pipeline(views, mask, k, t, rule):
@@ -468,13 +471,13 @@ def test_csr_operators_equal_dense_loop_oracle_array_for_array(seed, n_views, ru
 
 def test_prepare_builds_one_csr_matrix_per_view(monkeypatch):
     built = []
-    csr_matrix = sparse.csr_matrix
+    csr_operator = graphs.CsrOperator
 
     def counted(*args, **kwargs):
         built.append(args)
-        return csr_matrix(*args, **kwargs)
+        return csr_operator(*args, **kwargs)
 
-    monkeypatch.setattr(graphs.sparse, "csr_matrix", counted)
+    monkeypatch.setattr(graphs, "CsrOperator", counted)
     rng = np.random.default_rng(9)
     n = 30
     for n_views in (2, 3):
@@ -484,6 +487,60 @@ def test_prepare_builds_one_csr_matrix_per_view(monkeypatch):
         mask[np.arange(0, n, 4), np.arange(0, n, 4) % n_views] = False
         operators, _ = prepare(views, mask, TrainConfig(knn_k=4))
         assert len(built) == n_views == len(operators)
+
+
+def assert_products_equal_scipys(op, widths=(1, 3, 64, 128)):
+    """``op @ x`` and ``op.T @ x`` equal scipy's CSR products byte for byte,
+    for C- and Fortran-ordered ``x``; for an N x 1 ``x`` scipy calls
+    ``csr_matvec`` / ``csc_matvec``, for the others the ``*_matvecs`` kernels."""
+    oracle = scipy_csr(op)
+    rng = np.random.default_rng(op.nnz)
+    for width in widths:
+        for rows, product, expected in ((op.shape[1], op, oracle), (op.shape[0], op.T, oracle.T)):
+            x = rng.normal(size=(rows, width))
+            for arranged in (x, np.asfortranarray(x)):
+                got = product @ arranged
+                assert got.dtype == np.float64 and got.flags.c_contiguous
+                assert got.tobytes() == (expected @ arranged).tobytes()
+
+
+@pytest.mark.parametrize("n", [150, 300, 1000])
+def test_operator_products_equal_scipys_byte_for_byte(n):
+    # the products run scipy's private compiled kernels; a scipy release that
+    # changes them fails here rather than in a training
+    views, _ = synth_blobs(n, 2, 3, dim=10, noise_sigma=0.5, seed=n)
+    operators, _ = prepare(views, make_mask(n, 2, 0.3, n), TrainConfig())
+    for op in operators:
+        assert op.indices.dtype == op.indptr.dtype == scipy_csr(op).indices.dtype
+        assert_products_equal_scipys(op)
+
+
+def test_operator_products_equal_scipys_on_a_non_symmetric_matrix_with_empty_rows():
+    rng = np.random.default_rng(3)
+    values = np.where(rng.random((40, 25)) < 0.2, rng.normal(size=(40, 25)), 0.0)
+    values[[0, 7, 8, 39]] = 0.0
+    m = sparse.csr_matrix(values)
+    op = graphs.CsrOperator(m.data, m.indices, m.indptr, m.shape)
+    assert op.nnz == m.nnz and op.T.shape == (25, 40) and op.T.T.shape == (40, 25)
+    assert_products_equal_scipys(op)
+    assert (op.T.T @ np.eye(25)).tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(24, 3), (25, 3, 1), (25,)])
+def test_operator_rejects_a_product_of_the_wrong_shape(shape):
+    op = normalize(np.array([1, 25], dtype=np.int64), 25)
+    with pytest.raises(ShapeError, match=r"CsrOperator \(25, 25\) @"):
+        op @ np.ones(shape)
+
+
+@pytest.mark.parametrize("scipy_found", [False, True])
+def test_missing_sparse_kernels_raise_an_import_error_naming_them(monkeypatch, tmp_path, scipy_found):
+    # a scipy package without the compiled extension, or no scipy at all
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec if scipy_found else None)
+    with pytest.raises(ImportError, match=r"scipy's compiled scipy\.sparse\._sparsetools extension"):
+        graphs._load_sparsetools()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -512,4 +569,4 @@ def test_prepare_links_an_outlier_to_its_nearest_rows():
     x[7] = 40.0
     operators, _ = prepare(ViewSet([x, x]), np.ones((50, 2), dtype=bool), TrainConfig(knn_k=5))
     nearest = np.argsort(squared_distances(x)[7], kind="stable")[:6]  # the row itself first
-    assert np.flatnonzero(operators[0][[7]].toarray()).tolist() == sorted(nearest.tolist())
+    assert np.flatnonzero(scipy_csr(operators[0]).toarray()[7]).tolist() == sorted(nearest.tolist())

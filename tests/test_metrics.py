@@ -47,6 +47,11 @@ def test_accuracy_length_mismatch():
         metrics.accuracy(np.array([0, 1]), np.array([0, 1, 2]))
 
 
+def test_evaluate_rejects_empty_label_vectors():
+    with pytest.raises(ContractError, match="empty label vectors"):
+        metrics.evaluate([], [])
+
+
 @pytest.mark.parametrize("truth", [[0, -1, 1], [0, 0.5, 1]])
 def test_negative_or_fractional_labels_rejected(truth):
     with pytest.raises(ContractError):
@@ -120,10 +125,14 @@ def test_assignment_total_equals_scipy_on_large_tables(size):
             assert table[true_idx, pred_idx].sum() == table[rows_ref, cols_ref].sum()
 
 
-def test_package_import_leaves_scipy_optimize_out():
-    # nor the process pool, which only sweep and ablate start
+def test_package_import_and_training_load_only_scipys_sparse_kernels():
+    # scipy.optimize, scipy.sparse and scipy._lib stay out, as does the
+    # process pool, which only sweep and ablate start
     probe = (
-        "import sys, icmvc, icmvc.cli; print(sorted(k for k in sys.modules if k.split('.')[:2] == ['scipy', 'optimize']"
+        "import sys, icmvc, icmvc.cli\n"
+        "views, _ = icmvc.synth_blobs(60, 2, 3, dim=4, noise_sigma=0.5, seed=0)\n"
+        "icmvc.train(views, icmvc.make_mask(60, 2, 0.3, 0), 3, icmvc.TrainConfig(epochs=2))\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy' and k != 'scipy.sparse._sparsetools'"
         " or k.startswith('multiprocessing') or k == 'concurrent.futures.process'))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(metrics.__file__).parents[1]))
@@ -211,6 +220,12 @@ def test_metrics_invariant_to_cluster_relabeling():
 def test_labels_from_one_hot():
     y = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     np.testing.assert_array_equal(metrics.labels_from_assignment(y), [1, 0])
+
+
+@pytest.mark.parametrize("y", [[0.2, 0.8], [[[0.2, 0.8]]]])
+def test_labels_need_an_assignment_matrix(y):
+    with pytest.raises(ContractError, match="expected an N x C matrix"):
+        metrics.labels_from_assignment(np.array(y))
 
 
 def test_labels_tie_breaks_low_index():

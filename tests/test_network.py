@@ -3,12 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from icmvc import network as net
 from icmvc import numkit as nk
 from icmvc.errors import ConfigError, FormatError, ShapeError
-from oracles import dense_to_keys, numeric_gradient, relative_error
+from oracles import dense_to_keys, numeric_gradient, relative_error, scipy_csr
 
 
 def scalar(node):
@@ -160,6 +159,11 @@ def test_attention_rows_on_simplex_and_reconstruction():
     assert np.all(lam.value > 0) and np.all(lam.value < 1)
     manual = sum(lam.value[:, [v]] * hs[v].value for v in range(n_views))
     assert np.max(np.abs(manual - fused.value)) < 1e-9
+
+
+def test_init_model_needs_an_encoder_layer():
+    with pytest.raises(ConfigError, match="at least one encoder layer, got 0"):
+        net.init_model([3, 5], 3, hidden_dim=8, embed_dim=4, gcn_layers=0, seed=0)
 
 
 def test_attention_rejects_bad_temperature():
@@ -320,7 +324,7 @@ def test_sparse_operators_match_dense_in_values_and_gradients():
 
     params, ops, views = tiny_setup(seed=9, n=12)
     runs = []
-    for operators in ([op.toarray() for op in ops], [sparse.csr_matrix(op) for op in ops]):
+    for operators in ([scipy_csr(op).toarray() for op in ops], ops):
         emb, asg = net.forward(params, operators, views, 1.0)
         target = obj.high_confidence_target(asg.per_view[0], asg.per_view[1], asg.fused)
         total, _ = obj.total_loss(

@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 
 from icmvc import numkit as nk
+from icmvc.graphs import CsrOperator
 from icmvc.errors import ConfigError, ContractError, ShapeError
 from oracles import dense_to_keys, exhaustive_backward, numeric_gradient, relative_error
 
@@ -363,7 +364,10 @@ def weighted_square_sum(node, seed=0):
 def random_operator(n, dense, seed=0):
     rng = np.random.default_rng(seed)
     op = np.where(rng.random((n, n)) < 0.4, rng.random((n, n)), 0.0)
-    return op if dense else sparse.csr_matrix(op)
+    if dense:
+        return op
+    m = sparse.csr_matrix(op)
+    return CsrOperator(m.data, m.indices, m.indptr, m.shape)
 
 
 @pytest.mark.parametrize("act", [None, "relu"])

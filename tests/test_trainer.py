@@ -16,7 +16,7 @@ from icmvc.dataio import ViewSet, make_mask, save_dataset, synth_blobs
 from icmvc.errors import ConfigError, DataError, DivergenceError
 from icmvc.network import forward
 from icmvc.trainer import ABLATION_MODES, TrainConfig, baseline, kmeans, prepare, train
-from oracles import loop_knn, loop_normalize, loop_rbf, loop_symmetrize, loop_transfer
+from oracles import loop_knn, loop_normalize, loop_rbf, loop_symmetrize, loop_transfer, scipy_csr
 
 SMALL = dict(hidden_dim=16, embed_dim=8)
 
@@ -61,7 +61,7 @@ def test_prepare_missing_row_matches_loop_construction():
     transferred = loop_transfer(raw, mask.tolist(), "copy")
     for v in range(2):
         expected = np.array(loop_normalize(loop_symmetrize(transferred[v])))
-        np.testing.assert_allclose(ops[v].toarray(), expected, atol=1e-12)
+        np.testing.assert_allclose(scipy_csr(ops[v]).toarray(), expected, atol=1e-12)
 
 
 def test_prepare_rejects_a_wrong_shape_mask_before_any_graph_step(monkeypatch):
